@@ -8,9 +8,13 @@
 ///   updec_serve --jobs 16 --grid 24 --iters 25 --strategy dal --threads 4
 ///   updec_serve --jobs 64 --grid 20 --shards 4   # multi-process shard pool
 ///
-/// Manifest columns (header row required, '#' comments ignored):
-///   id,problem,strategy,grid,iters,lr,deadline_ms,seed,jitter
-/// problem: laplace|channel; strategy: dp|dal|fd. Empty cells keep defaults.
+/// Manifest: CSV whose header row names columns of the Scenario field table
+/// (serve/scenario.hpp, docs/SERVING.md) in any order: id, problem,
+/// strategy, grid, nodes, reynolds, poly_degree, iters, lr, fd_step, seed,
+/// jitter, deadline_ms, refine_cycles, refine_fraction. '#' lines are
+/// comments; empty cells keep the defaults. Without --manifest, a
+/// synthesised batch takes problem, strategy, grid, nodes, iters, lr,
+/// jitter and deadline_ms from the flags of those names ('--deadline-ms').
 ///
 /// Environment: UPDEC_SERVE_THREADS (pool size), UPDEC_SERVE_SHARDS /
 /// UPDEC_SERVE_STEAL (multi-process shard pool; --shards overrides),
@@ -21,9 +25,9 @@
 /// --backoff-ms override -- in shard mode the same budget also bounds
 /// resubmission of jobs lost to a crashed worker).
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,76 +42,27 @@ namespace {
 
 using namespace updec;
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::stringstream ss(line);
-  std::string cell;
-  while (std::getline(ss, cell, ',')) cells.push_back(cell);
-  return cells;
-}
-
-std::vector<serve::Scenario> load_manifest(const std::string& path) {
-  std::ifstream is(path);
-  UPDEC_REQUIRE(is.good(), "cannot open manifest " + path);
-  std::vector<serve::Scenario> scenarios;
-  std::string line;
-  bool header_seen = false;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    if (!header_seen) {  // column order is fixed; the header is a guard only
-      header_seen = true;
-      UPDEC_REQUIRE(line.rfind("id,", 0) == 0,
-                    "manifest must start with the header "
-                    "'id,problem,strategy,grid,iters,lr,deadline_ms,seed,"
-                    "jitter': " + path);
-      continue;
-    }
-    const std::vector<std::string> cells = split_csv_line(line);
-    UPDEC_REQUIRE(!cells.empty() && !cells[0].empty(),
-                  "manifest line " + std::to_string(line_no) +
-                      ": missing scenario id");
-    serve::Scenario sc;
-    sc.id = cells[0];
-    const auto cell = [&cells](std::size_t i) -> std::string {
-      return i < cells.size() ? cells[i] : "";
-    };
-    if (!cell(1).empty()) sc.problem = serve::parse_problem_kind(cell(1));
-    if (!cell(2).empty()) sc.strategy = serve::parse_strategy(cell(2));
-    if (!cell(3).empty()) {
-      const std::size_t n = std::stoul(cell(3));
-      sc.grid_n = n;        // laplace resolution...
-      sc.target_nodes = n;  // ...or channel cloud size; kind picks one
-    }
-    if (!cell(4).empty()) sc.iterations = std::stoul(cell(4));
-    if (!cell(5).empty()) sc.learning_rate = std::stod(cell(5));
-    if (!cell(6).empty()) sc.deadline_ms = std::stod(cell(6));
-    if (!cell(7).empty()) sc.seed = std::stoull(cell(7));
-    if (!cell(8).empty()) sc.control_jitter = std::stod(cell(8));
-    scenarios.push_back(std::move(sc));
-  }
-  UPDEC_REQUIRE(!scenarios.empty(), "manifest has no scenarios: " + path);
-  return scenarios;
-}
+/// `--jobs` copies of one scenario, numbered. Only these table columns come
+/// from flags ('_' spelled '-'); every other field keeps the Scenario's
+/// default -- a one-row manifest sets any of them.
+constexpr const char* kBatchColumns[] = {"problem", "strategy", "grid",
+                                         "nodes",   "iters",    "lr",
+                                         "jitter",  "deadline_ms"};
 
 std::vector<serve::Scenario> synthesise_batch(const CliArgs& args) {
-  const int jobs = args.get_int("jobs", 8);
-  std::vector<serve::Scenario> scenarios;
-  scenarios.reserve(static_cast<std::size_t>(jobs));
-  for (int i = 0; i < jobs; ++i) {
-    serve::Scenario sc;
-    sc.id = "job-" + std::to_string(i);
-    sc.problem = serve::parse_problem_kind(args.get("problem", "laplace"));
-    sc.strategy = serve::parse_strategy(args.get("strategy", "dal"));
-    sc.grid_n = static_cast<std::size_t>(args.get_int("grid", 16));
-    sc.target_nodes = static_cast<std::size_t>(args.get_int("nodes", 400));
-    sc.iterations = static_cast<std::size_t>(args.get_int("iters", 25));
-    sc.learning_rate = args.get_double("lr", 1e-2);
-    sc.deadline_ms = args.get_double("deadline-ms", 0.0);
-    sc.seed = static_cast<std::uint64_t>(i + 1);
-    sc.control_jitter = args.get_double("jitter", 0.0);
-    scenarios.push_back(std::move(sc));
+  serve::Scenario base;
+  serve::set_field(base, "iters", "25");
+  serve::set_field(base, "nodes", "400");
+  for (const std::string column : kBatchColumns) {
+    std::string flag = column;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    serve::set_field(base, column, args.get(flag, ""));
+  }
+  const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 8));
+  std::vector<serve::Scenario> scenarios(jobs, base);
+  for (std::size_t i = 0; i < jobs; ++i) {
+    scenarios[i].id = "job-" + std::to_string(i);
+    scenarios[i].seed = i + 1;
   }
   return scenarios;
 }
@@ -222,7 +177,8 @@ int main(int argc, char** argv) {
   try {
     const std::string manifest = args.get("manifest", "");
     const std::vector<serve::Scenario> scenarios =
-        manifest.empty() ? synthesise_batch(args) : load_manifest(manifest);
+        manifest.empty() ? synthesise_batch(args)
+                         : serve::load_manifest(manifest);
 
     serve::SchedulerOptions options;
     options.threads = static_cast<std::size_t>(args.get_int("threads", 0));

@@ -1,8 +1,11 @@
 #include "check/oracles.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <sstream>
+#include <string_view>
 
 #ifdef UPDEC_HAVE_OPENMP
 #include <omp.h>
@@ -28,6 +31,7 @@
 #include "serve/cache.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/shard.hpp"
+#include "serve/wire.hpp"
 
 namespace updec::check {
 namespace {
@@ -757,6 +761,172 @@ OracleResult sharded_vs_single(const OracleCase& c) {
   return judged(0.0, 0.0, os.str());
 }
 
+// ---- the scenario schema ---------------------------------------------------
+
+namespace {
+
+void draw(Rng& rng, std::string& v) {
+  v = "id" + std::to_string(rng.next_u64());
+}
+void draw(Rng& rng, serve::ProblemKind& v) {
+  v = static_cast<serve::ProblemKind>(rng.uniform_index(2));
+}
+void draw(Rng& rng, serve::Strategy& v) {
+  v = static_cast<serve::Strategy>(rng.uniform_index(3));
+}
+void draw(Rng& rng, std::uint64_t& v) {
+  // Mostly small values, 0 included (a uniform job), sometimes any 64 bits.
+  v = rng.uniform_index(4) == 0 ? rng.next_u64() : rng.uniform_index(4);
+}
+void draw(Rng& rng, int& v) { v = static_cast<int>(rng.uniform_index(7)) - 3; }
+void draw(Rng& rng, double& v) {
+  switch (rng.uniform_index(4)) {
+    case 0: v = rng.uniform_index(2) != 0 ? 0.0 : -0.0; break;
+    case 1: v = rng.uniform(); break;
+    case 2: v = rng.uniform(-1e3, 1e3); break;
+    default: v = rng.uniform(-1.0, 1.0) * 1e300; break;
+  }
+}
+
+/// A different value of the same type; a fraction in (0, 1) stays there.
+void nudge(std::string& v) { v += "x"; }
+void nudge(serve::ProblemKind& v) {
+  v = v == serve::ProblemKind::kLaplace ? serve::ProblemKind::kChannel
+                                        : serve::ProblemKind::kLaplace;
+}
+void nudge(serve::Strategy& v) {
+  v = static_cast<serve::Strategy>((static_cast<int>(v) + 1) % 3);
+}
+void nudge(std::uint64_t& v) { ++v; }
+void nudge(int& v) { ++v; }
+void nudge(double& v) { v = v > 0.0 && v < 1.0 ? v / 2 : 0.5; }
+
+std::string cell(const std::string& v) { return v; }
+std::string cell(serve::ProblemKind v) { return serve::to_string(v); }
+std::string cell(serve::Strategy v) { return serve::to_string(v); }
+template <typename T>
+std::string cell(T v) {
+  char buf[64];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
+
+/// `sc` with its k-th table field nudged; `info` names that field.
+serve::Scenario nudged(serve::Scenario sc, std::size_t k,
+                       serve::FieldInfo& info) {
+  std::size_t at = 0;
+  serve::for_each_field(sc, [&](const serve::FieldInfo& f, auto& v) {
+    if (at++ != k) return;
+    info = f;
+    nudge(v);
+  });
+  return sc;
+}
+
+/// Wire bytes of a scenario: equal bytes mean bitwise-equal fields.
+std::string scenario_bytes(const serve::Scenario& sc) {
+  serve::wire::JobFrame frame;
+  frame.scenario = sc;
+  return serve::wire::encode_job(frame);
+}
+
+std::uint64_t bundle_hits(serve::OperatorCache& cache) {
+  std::uint64_t hits = 0;
+  for (const auto& [name, cs] : cache.stats().by_class)
+    if (name == "bundle" || name == "rom-bundle" || name == "refined-bundle")
+      hits += cs.hits;
+  return hits;
+}
+
+}  // namespace
+
+OracleResult scenario_schema(const OracleCase& c) {
+  Rng rng(c.seed);
+  const serve::Scenario defaults;
+  std::size_t n_fields = 0;
+  serve::for_each_field(
+      defaults, [&](const serve::FieldInfo&, const auto&) { ++n_fields; });
+  const std::size_t n = std::max<std::size_t>(c.size, 2);
+
+  // Parts 1-2: random scenarios round-trip bitwise through the wire and a
+  // one-row manifest, and only the applicable discretisation fields move
+  // the routing fingerprint.
+  for (std::size_t trial = 0; trial < n; ++trial) {
+    serve::Scenario sc;
+    serve::for_each_field(
+        sc, [&](const serve::FieldInfo&, auto& v) { draw(rng, v); });
+    const std::string bytes = scenario_bytes(sc);
+    serve::wire::JobFrame frame;
+    frame.scenario = sc;
+    if (scenario_bytes(serve::wire::decode_job(serve::wire::encode_job(frame))
+                           .scenario) != bytes)
+      return judged(1.0, 0.0, "wire round trip changed " + sc.id);
+    std::string header, row;
+    serve::for_each_field(sc, [&](const serve::FieldInfo& f, const auto& v) {
+      header += std::string(header.empty() ? "" : ",") + f.name;
+      row += (row.empty() ? "" : ",") + cell(v);
+    });
+    std::istringstream manifest(header + "\n" + row + "\n");
+    const std::vector<serve::Scenario> parsed =
+        serve::parse_manifest(manifest, "oracle");
+    if (parsed.size() != 1 || scenario_bytes(parsed[0]) != bytes)
+      return judged(1.0, 0.0, "manifest round trip changed row " + row);
+
+    const std::uint64_t fp = serve::scenario_fingerprint(sc);
+    for (std::size_t k = 0; k < n_fields; ++k) {
+      serve::FieldInfo f{"", serve::FieldRole::kIdentity};
+      const serve::Scenario other = nudged(sc, k, f);
+      const bool applies =
+          f.role == serve::FieldRole::kDiscretisation &&
+          (!f.only || *f.only == sc.problem) &&
+          (std::string_view(f.name) != "refine_fraction" ||
+           sc.refine_cycles > 0);
+      if ((serve::scenario_fingerprint(other) != fp) != applies)
+        return judged(1.0, 0.0,
+                      std::string("changing ") + f.name + " of a " +
+                          serve::to_string(sc.problem) + " scenario " +
+                          (applies ? "kept" : "moved") + " its fingerprint");
+    }
+  }
+
+  // Part 3: two jobs that share a cached operator bundle share a shard.
+  // A small Laplace job and each one-field nudge of it run on a private
+  // cold cache; whenever the nudged job hits the first one's bundle, both
+  // must route alike.
+  std::size_t shared = 0;
+  for (std::size_t trial = 0; trial < n / 8 + 1; ++trial) {
+    serve::Scenario a;
+    a.id = "bundle-" + std::to_string(trial);
+    a.strategy = static_cast<serve::Strategy>(rng.uniform_index(3));
+    a.grid_n = 6 + rng.uniform_index(2);
+    a.iterations = 1;
+    a.refine_cycles = rng.uniform_index(2);
+    a.refine_fraction = std::array{0.0, 0.2, 1.5}[rng.uniform_index(3)];
+    for (std::size_t k = 0; k < n_fields; ++k) {
+      serve::FieldInfo f{"", serve::FieldRole::kIdentity};
+      const serve::Scenario b = nudged(a, k, f);
+      if (std::string_view(f.name) == "problem") continue;  // no channel bundle
+      serve::OperatorCache cache(64u << 20, "");
+      (void)serve::run_scenario(a, cache, 0.0, {}, serve::RetryPolicy{});
+      const std::uint64_t before = bundle_hits(cache);
+      (void)serve::run_scenario(b, cache, 0.0, {}, serve::RetryPolicy{});
+      if (bundle_hits(cache) == before) continue;
+      ++shared;
+      if (serve::scenario_fingerprint(a) != serve::scenario_fingerprint(b))
+        return judged(1.0, 0.0,
+                      std::string("jobs sharing a bundle route apart after "
+                                  "changing ") + f.name);
+    }
+  }
+
+  std::ostringstream os;
+  os << "scenario schema (" << n << " random scenarios round-trip bitwise "
+     << "through wire and manifest, fingerprint moves with exactly the "
+     << "applicable discretisation fields; " << shared
+     << " bundle-sharing pairs route together)";
+  return judged(0.0, 0.0, os.str());
+}
+
 // ---- catalogue ------------------------------------------------------------
 
 const std::vector<Oracle>& all_oracles() {
@@ -793,6 +963,9 @@ const std::vector<Oracle>& all_oracles() {
       {"sharded_vs_single",
        "multi-process shard pools vs a plain in-process scenario run", 4, 12,
        &sharded_vs_single},
+      {"scenario_schema",
+       "scenario field table: wire/manifest round trips, family routing", 2,
+       64, &scenario_schema},
   };
   return oracles;
 }

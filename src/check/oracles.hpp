@@ -126,4 +126,14 @@ OracleResult rom_vs_full(const OracleCase& c);
 /// size = number of jobs in the batch.
 OracleResult sharded_vs_single(const OracleCase& c);
 
+/// The serve::Scenario field table. Random scenarios (every field drawn
+/// through the table) must round-trip bitwise through the wire codec and a
+/// one-row manifest; nudging any field must move scenario_fingerprint iff
+/// the field is a discretisation field that applies to the scenario's
+/// problem kind (refine_fraction only when refine_cycles > 0). Then pairs
+/// of small Laplace jobs, one field apart, run on a cold private cache:
+/// whenever the second job hits the first one's operator bundle, both must
+/// route to the same shard. size = number of random scenarios.
+OracleResult scenario_schema(const OracleCase& c);
+
 }  // namespace updec::check

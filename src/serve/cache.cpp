@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include "serve/codec.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -53,6 +54,10 @@ class Fnv {
 };
 
 }  // namespace
+
+std::uint64_t fnv1a64(const void* data, std::size_t n) {
+  return fnv1a(kFnvBasisLo, static_cast<const unsigned char*>(data), n);
+}
 
 KeyBuilder::KeyBuilder(std::string_view domain)
     : hi_(kFnvBasisHi), lo_(kFnvBasisLo) {
@@ -215,6 +220,23 @@ void OperatorCache::store_locked(const CacheKey& key, const Computed& computed,
   UPDEC_METRIC_GAUGE_SET("serve/cache.bytes", static_cast<double>(bytes_));
 }
 
+std::shared_ptr<const void> OperatorCache::lookup_locked(const CacheKey& key,
+                                                     const char* klass) {
+  const auto it = index_.find(key);
+  if (it == index_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh the LRU position
+  ++stats_.hits;
+  ++stats_.by_class[klass].hits;
+  UPDEC_METRIC_ADD("serve/cache.hits", 1);
+  return it->second->value;
+}
+
+void OperatorCache::count_miss_locked(const char* klass) {
+  ++stats_.misses;
+  ++stats_.by_class[klass].misses;
+  UPDEC_METRIC_ADD("serve/cache.misses", 1);
+}
+
 std::shared_ptr<const void> OperatorCache::get_or_compute_erased(
     const CacheKey& key, const std::function<Computed()>& compute,
     const char* klass) {
@@ -222,14 +244,7 @@ std::shared_ptr<const void> OperatorCache::get_or_compute_erased(
   std::promise<Computed> mine;
   {
     std::unique_lock lock(mutex_);
-    if (const auto it = index_.find(key); it != index_.end()) {
-      // Hit: refresh LRU position, hand out the shared value.
-      lru_.splice(lru_.begin(), lru_, it->second);
-      ++stats_.hits;
-      ++stats_.by_class[klass].hits;
-      UPDEC_METRIC_ADD("serve/cache.hits", 1);
-      return it->second->value;
-    }
+    if (auto hit = lookup_locked(key, klass)) return hit;
     if (const auto it = inflight_.find(key); it != inflight_.end()) {
       // Someone else is computing this key: join their flight.
       wait_on = it->second;
@@ -237,9 +252,7 @@ std::shared_ptr<const void> OperatorCache::get_or_compute_erased(
       UPDEC_METRIC_ADD("serve/cache.inflight_waits", 1);
     } else {
       inflight_.emplace(key, mine.get_future().share());
-      ++stats_.misses;
-      ++stats_.by_class[klass].misses;
-      UPDEC_METRIC_ADD("serve/cache.misses", 1);
+      count_miss_locked(klass);
     }
   }
 
@@ -274,16 +287,8 @@ std::shared_ptr<const void> OperatorCache::try_get_erased(
     const char* klass) {
   {
     std::unique_lock lock(mutex_);
-    if (const auto it = index_.find(key); it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      ++stats_.hits;
-      ++stats_.by_class[klass].hits;
-      UPDEC_METRIC_ADD("serve/cache.hits", 1);
-      return it->second->value;
-    }
-    ++stats_.misses;
-    ++stats_.by_class[klass].misses;
-    UPDEC_METRIC_ADD("serve/cache.misses", 1);
+    if (auto hit = lookup_locked(key, klass)) return hit;
+    count_miss_locked(klass);
   }
   if (!decode || disk_ == nullptr || !disk_->enabled()) return nullptr;
   std::string payload;
@@ -335,129 +340,84 @@ std::size_t lu_bytes(const la::LuFactorization& lu) {
 
 namespace {
 
-/// Append-only little binary writer for the artefact payloads.
-class PayloadWriter {
- public:
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void f64(double v) { bytes(&v, sizeof v); }
-  void f64s(const double* data, std::size_t n) {
-    bytes(data, n * sizeof(double));
-  }
-  void f32s(const float* data, std::size_t n) {
-    bytes(data, n * sizeof(float));
-  }
-  void indices(const std::vector<std::size_t>& v) {
-    u64(v.size());
-    for (const std::size_t x : v) u64(x);
-  }
-  [[nodiscard]] std::string take() { return std::move(buf_); }
+/// The CSR layout shared by the csr and ilu0-f32 payloads: dimensions and
+/// index arrays, then the values in the payload's own precision.
+void put_csr_structure(Writer& w, const la::CsrMatrix& m) {
+  w.u64(m.rows());
+  w.u64(m.cols());
+  w.u64(m.nnz());
+  w(m.row_ptr());
+  w(m.col_idx());
+}
 
- private:
-  void bytes(const void* data, std::size_t n) {
-    buf_.append(static_cast<const char*>(data), n);
-  }
-  std::string buf_;
+struct CsrStructure {
+  std::size_t rows = 0, cols = 0;
+  std::vector<std::size_t> row_ptr, col_idx;
 };
 
-/// Bounds-checked reader; any overrun or leftover is a malformed payload
-/// (updec::Error), which the disk tier treats as corruption.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view payload) : payload_(payload) {}
-
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    bytes(&v, sizeof v);
-    return v;
-  }
-  double f64() {
-    double v = 0;
-    bytes(&v, sizeof v);
-    return v;
-  }
-  void f64s(double* out, std::size_t n) { bytes(out, n * sizeof(double)); }
-  void f32s(float* out, std::size_t n) { bytes(out, n * sizeof(float)); }
-  std::vector<std::size_t> indices(std::size_t expected) {
-    const std::uint64_t n = u64();
-    UPDEC_REQUIRE(n == expected, "disk payload: index array size mismatch");
-    std::vector<std::size_t> v(expected);
-    for (std::size_t i = 0; i < expected; ++i)
-      v[i] = static_cast<std::size_t>(u64());
-    return v;
-  }
-  void done() const {
-    UPDEC_REQUIRE(pos_ == payload_.size(),
-                  "disk payload: trailing bytes after decode");
-  }
-
- private:
-  void bytes(void* out, std::size_t n) {
-    UPDEC_REQUIRE(pos_ + n <= payload_.size(),
-                  "disk payload: truncated field");
-    std::memcpy(out, payload_.data() + pos_, n);
-    pos_ += n;
-  }
-  std::string_view payload_;
-  std::size_t pos_ = 0;
-};
+CsrStructure get_csr_structure(Reader& r) {
+  CsrStructure c;
+  c.rows = static_cast<std::size_t>(r.u64());
+  c.cols = static_cast<std::size_t>(r.u64());
+  const std::size_t nnz = static_cast<std::size_t>(r.u64());
+  r(c.row_ptr);
+  r(c.col_idx);
+  UPDEC_REQUIRE(c.row_ptr.size() == c.rows + 1 && c.col_idx.size() == nnz,
+                "disk payload: index array size mismatch");
+  UPDEC_REQUIRE(!c.row_ptr.empty() && c.row_ptr.front() == 0 &&
+                    c.row_ptr.back() == nnz,
+                "disk payload: inconsistent CSR row pointers");
+  for (std::size_t i = 0; i + 1 < c.row_ptr.size(); ++i)
+    UPDEC_REQUIRE(c.row_ptr[i] <= c.row_ptr[i + 1],
+                  "disk payload: CSR row pointers not monotone");
+  for (const std::size_t col : c.col_idx)
+    UPDEC_REQUIRE(col < c.cols, "disk payload: CSR column index out of range");
+  return c;
+}
 
 }  // namespace
 
 std::string encode_lu(const la::LuFactorization& lu) {
-  PayloadWriter w;
+  Writer w;
   const std::size_t n = lu.size();
   w.u64(n);
-  w.f64s(lu.packed().data(), n * n);
-  w.indices(lu.permutation());
+  w.bulk(lu.packed().data(), n * n);
+  w(lu.permutation());
   w.u64(lu.permutation_sign() == 1 ? 1 : 0);
   w.f64(lu.source_norm1());
   return w.take();
 }
 
 la::LuFactorization decode_lu(std::string_view payload) {
-  PayloadReader r(payload);
+  Reader r(payload);
   const std::size_t n = static_cast<std::size_t>(r.u64());
   la::Matrix packed(n, n);
-  r.f64s(packed.data(), n * n);
-  std::vector<std::size_t> perm = r.indices(n);
+  r.bulk(packed.data(), n * n);
+  std::vector<std::size_t> perm;
+  r(perm);
+  UPDEC_REQUIRE(perm.size() == n, "disk payload: index array size mismatch");
   const int sign = r.u64() == 1 ? 1 : -1;
   const double a_norm1 = r.f64();
-  r.done();
+  r.finish();
   return la::LuFactorization::from_parts(std::move(packed), std::move(perm),
                                          sign, a_norm1);
 }
 
 std::string encode_csr(const la::CsrMatrix& m) {
-  PayloadWriter w;
-  w.u64(m.rows());
-  w.u64(m.cols());
-  w.u64(m.nnz());
-  w.indices(m.row_ptr());
-  w.indices(m.col_idx());
-  w.f64s(m.values().data(), m.values().size());
+  Writer w;
+  put_csr_structure(w, m);
+  w.bulk(m.values().data(), m.values().size());
   return w.take();
 }
 
 la::CsrMatrix decode_csr(std::string_view payload) {
-  PayloadReader r(payload);
-  const std::size_t rows = static_cast<std::size_t>(r.u64());
-  const std::size_t cols = static_cast<std::size_t>(r.u64());
-  const std::size_t nnz = static_cast<std::size_t>(r.u64());
-  std::vector<std::size_t> row_ptr = r.indices(rows + 1);
-  std::vector<std::size_t> col_idx = r.indices(nnz);
-  std::vector<double> values(nnz);
-  r.f64s(values.data(), nnz);
-  r.done();
-  UPDEC_REQUIRE(!row_ptr.empty() && row_ptr.front() == 0 &&
-                    row_ptr.back() == nnz,
-                "disk payload: inconsistent CSR row pointers");
-  for (std::size_t i = 0; i + 1 < row_ptr.size(); ++i)
-    UPDEC_REQUIRE(row_ptr[i] <= row_ptr[i + 1],
-                  "disk payload: CSR row pointers not monotone");
-  for (const std::size_t c : col_idx)
-    UPDEC_REQUIRE(c < cols, "disk payload: CSR column index out of range");
-  return la::CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
-                       std::move(values));
+  Reader r(payload);
+  CsrStructure c = get_csr_structure(r);
+  std::vector<double> values(c.col_idx.size());
+  r.bulk(values.data(), values.size());
+  r.finish();
+  return la::CsrMatrix(c.rows, c.cols, std::move(c.row_ptr),
+                       std::move(c.col_idx), std::move(values));
 }
 
 std::string encode_ilu0(const la::Ilu0& ilu) {
@@ -469,42 +429,25 @@ la::Ilu0 decode_ilu0(std::string_view payload) {
 }
 
 std::string encode_ilu0_f32(const la::Ilu0& ilu) {
-  const la::CsrMatrix& lu = ilu.factors();
-  PayloadWriter w;
-  w.u64(lu.rows());
-  w.u64(lu.cols());
-  w.u64(lu.nnz());
-  w.indices(lu.row_ptr());
-  w.indices(lu.col_idx());
-  w.f32s(ilu.factors_f32().data(), ilu.factors_f32().size());
+  Writer w;
+  put_csr_structure(w, ilu.factors());
+  w.bulk(ilu.factors_f32().data(), ilu.factors_f32().size());
   return w.take();
 }
 
 la::Ilu0 decode_ilu0_f32(std::string_view payload) {
-  PayloadReader r(payload);
-  const std::size_t rows = static_cast<std::size_t>(r.u64());
-  const std::size_t cols = static_cast<std::size_t>(r.u64());
-  const std::size_t nnz = static_cast<std::size_t>(r.u64());
-  std::vector<std::size_t> row_ptr = r.indices(rows + 1);
-  std::vector<std::size_t> col_idx = r.indices(nnz);
-  std::vector<float> values_f32(nnz);
-  r.f32s(values_f32.data(), nnz);
-  r.done();
-  UPDEC_REQUIRE(!row_ptr.empty() && row_ptr.front() == 0 &&
-                    row_ptr.back() == nnz,
-                "disk payload: inconsistent CSR row pointers");
-  for (std::size_t i = 0; i + 1 < row_ptr.size(); ++i)
-    UPDEC_REQUIRE(row_ptr[i] <= row_ptr[i + 1],
-                  "disk payload: CSR row pointers not monotone");
-  for (const std::size_t c : col_idx)
-    UPDEC_REQUIRE(c < cols, "disk payload: CSR column index out of range");
+  Reader r(payload);
+  CsrStructure c = get_csr_structure(r);
+  std::vector<float> values_f32(c.col_idx.size());
+  r.bulk(values_f32.data(), values_f32.size());
+  r.finish();
   // Widen each stored float exactly; Ilu0::from_factors re-derives the fp32
   // shadow from these doubles, reproducing the persisted floats bit-exactly.
-  std::vector<double> values(nnz);
-  for (std::size_t k = 0; k < nnz; ++k)
-    values[k] = static_cast<double>(values_f32[k]);
-  return la::Ilu0::from_factors(la::CsrMatrix(
-      rows, cols, std::move(row_ptr), std::move(col_idx), std::move(values)));
+  std::vector<double> values(values_f32.begin(), values_f32.end());
+  return la::Ilu0::from_factors(la::CsrMatrix(c.rows, c.cols,
+                                              std::move(c.row_ptr),
+                                              std::move(c.col_idx),
+                                              std::move(values)));
 }
 
 std::size_t pod_basis_bytes(const rom::PodBasis& basis) {
@@ -513,27 +456,27 @@ std::size_t pod_basis_bytes(const rom::PodBasis& basis) {
 }
 
 std::string encode_pod_basis(const rom::PodBasis& basis) {
-  PayloadWriter w;
+  Writer w;
   w.u64(basis.n());
   w.u64(basis.k());
   w.u64(basis.snapshot_count);
-  w.f64s(basis.modes.data(), basis.n() * basis.k());
-  w.f64s(basis.eigenvalues.data(), basis.eigenvalues.size());
+  w.bulk(basis.modes.data(), basis.n() * basis.k());
+  w.bulk(basis.eigenvalues.data(), basis.eigenvalues.size());
   return w.take();
 }
 
 rom::PodBasis decode_pod_basis(std::string_view payload) {
-  PayloadReader r(payload);
+  Reader r(payload);
   const std::size_t n = static_cast<std::size_t>(r.u64());
   const std::size_t k = static_cast<std::size_t>(r.u64());
   rom::PodBasis basis;
   basis.snapshot_count = static_cast<std::size_t>(r.u64());
   UPDEC_REQUIRE(k <= n, "disk payload: pod-basis rank exceeds dimension");
   basis.modes = la::Matrix(n, k);
-  r.f64s(basis.modes.data(), n * k);
+  r.bulk(basis.modes.data(), n * k);
   basis.eigenvalues = la::Vector(k);
-  r.f64s(basis.eigenvalues.data(), k);
-  r.done();
+  r.bulk(basis.eigenvalues.data(), k);
+  r.finish();
   // A checksum-clean payload can still be semantically bad (written by a
   // buggy producer): reject anything that is not an orthonormal basis with
   // finite, positive, descending energies rather than serving garbage.
@@ -554,6 +497,18 @@ rom::PodBasis decode_pod_basis(std::string_view payload) {
 
 // ---- memoization helpers -------------------------------------------------
 
+namespace {
+
+/// `value` on the heap with its resident size, as the cache stores it.
+template <typename T>
+OperatorCache::Sized<T> sized(T value, std::size_t (*bytes)(const T&)) {
+  auto p = std::make_shared<const T>(std::move(value));
+  const std::size_t n = bytes(*p);
+  return {std::move(p), n};
+}
+
+}  // namespace
+
 std::shared_ptr<const la::LuFactorization> cached_lu(
     OperatorCache& cache, const rbf::GlobalCollocation& colloc) {
   KeyBuilder kb("lu-factorization");
@@ -569,9 +524,7 @@ std::shared_ptr<const la::LuFactorization> cached_lu(
       encode_lu,
       [](std::string_view payload) {
         UPDEC_TRACE_SCOPE("serve/cache_disk_load");
-        auto lu = std::make_shared<const la::LuFactorization>(
-            decode_lu(payload));
-        return OperatorCache::Sized<la::LuFactorization>{lu, lu_bytes(*lu)};
+        return sized(decode_lu(payload), lu_bytes);
       },
       "lu");
 }
@@ -593,14 +546,12 @@ std::shared_ptr<const la::CsrMatrix> cached_rbffd_weights(
       kb.key(),
       [&ops, &op] {
         UPDEC_TRACE_SCOPE("serve/cache_rbffd");
-        auto w = std::make_shared<const la::CsrMatrix>(ops.weights_for(op));
-        return OperatorCache::Sized<la::CsrMatrix>{w, csr_bytes(*w)};
+        return sized(ops.weights_for(op), csr_bytes);
       },
       encode_csr,
       [](std::string_view payload) {
         UPDEC_TRACE_SCOPE("serve/cache_disk_load");
-        auto w = std::make_shared<const la::CsrMatrix>(decode_csr(payload));
-        return OperatorCache::Sized<la::CsrMatrix>{w, csr_bytes(*w)};
+        return sized(decode_csr(payload), csr_bytes);
       },
       "rbffd");
 }
@@ -637,8 +588,7 @@ std::shared_ptr<const la::Ilu0> cached_ilu0(OperatorCache& cache,
       encode,
       [decode](std::string_view payload) {
         UPDEC_TRACE_SCOPE("serve/cache_disk_load");
-        auto ilu = std::make_shared<const la::Ilu0>(decode(payload));
-        return OperatorCache::Sized<la::Ilu0>{ilu, ilu0_bytes(*ilu)};
+        return sized(decode(payload), ilu0_bytes);
       },
       fp32_factors ? "ilu0-f32" : "ilu0");
 }
@@ -665,22 +615,16 @@ std::shared_ptr<const rom::PodBasis> cached_pod_basis(
       pod_basis_key(operator_fingerprint),
       [](std::string_view payload) {
         UPDEC_TRACE_SCOPE("serve/cache_disk_load");
-        auto basis =
-            std::make_shared<const rom::PodBasis>(decode_pod_basis(payload));
-        return OperatorCache::Sized<rom::PodBasis>{basis,
-                                                   pod_basis_bytes(*basis)};
+        return sized(decode_pod_basis(payload), pod_basis_bytes);
       },
       "pod-basis");
 }
 
 void store_pod_basis(OperatorCache& cache, std::uint64_t operator_fingerprint,
                      const rom::PodBasis& basis) {
-  auto copy = std::make_shared<const rom::PodBasis>(basis);
-  const std::size_t bytes = pod_basis_bytes(*copy);
-  cache.put_disk<rom::PodBasis>(
-      pod_basis_key(operator_fingerprint),
-      OperatorCache::Sized<rom::PodBasis>{std::move(copy), bytes},
-      encode_pod_basis, "pod-basis");
+  cache.put_disk<rom::PodBasis>(pod_basis_key(operator_fingerprint),
+                                sized(rom::PodBasis(basis), pod_basis_bytes),
+                                encode_pod_basis, "pod-basis");
 }
 
 }  // namespace updec::serve

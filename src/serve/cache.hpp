@@ -39,6 +39,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -55,9 +56,10 @@
 
 namespace updec::serve {
 
-/// 128-bit content address (two independent FNV-1a lanes). Two lanes make
-/// an accidental full-key collision astronomically unlikely even across the
-/// ~2^32-entry birthday bound of a single 64-bit hash.
+/// 128-bit content address: two FNV-1a lanes from different starting
+/// states, which make an accidental full-key collision astronomically
+/// unlikely. The lanes share one prime, so their low bits move together:
+/// finalise a key before reducing it modulo a small number.
 struct CacheKey {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
@@ -75,6 +77,10 @@ struct CacheKeyHash {
     return static_cast<std::size_t>(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ULL));
   }
 };
+
+/// 64-bit FNV-1a over `n` bytes: the payload checksum of wire frames and
+/// disk-tier entries.
+[[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t n);
 
 /// Incremental key construction: seed with a domain string (namespacing
 /// different artefact types computed from the same inputs), then mix in
@@ -152,8 +158,8 @@ class DiskCache {
   /// Atomically persist `payload` under `key`. Never throws.
   bool store(const CacheKey& key, std::string_view payload);
 
-  /// Drop the on-disk entry for `key` (decode-level rejection: the payload
-  /// checksummed fine but did not deserialize into a usable artefact).
+  /// Drop and count the on-disk entry for `key` as corrupt: it failed
+  /// verification, or checksummed fine but did not decode.
   void reject(const CacheKey& key, const std::string& why);
 
   [[nodiscard]] Stats stats() const;
@@ -219,11 +225,7 @@ class OperatorCache {
                                           const char* klass = "other") {
     std::shared_ptr<const void> p = get_or_compute_erased(
         key,
-        [&compute]() -> Computed {
-          Sized<T> sized = compute();
-          return {std::static_pointer_cast<const void>(std::move(sized.value)),
-                  sized.bytes};
-        },
+        [&compute]() -> Computed { return Sized<T>(compute()); },
         klass);
     return std::static_pointer_cast<const T>(std::move(p));
   }
@@ -283,9 +285,7 @@ class OperatorCache {
     return std::static_pointer_cast<const T>(try_get_erased(
         key,
         [&decode](std::string_view payload) -> Computed {
-          Sized<T> sized = decode(payload);
-          return {std::static_pointer_cast<const void>(std::move(sized.value)),
-                  sized.bytes};
+          return Sized<T>(decode(payload));
         },
         klass));
   }
@@ -294,11 +294,7 @@ class OperatorCache {
   /// empty slots; rebuildable artefacts need replacement semantics).
   template <typename T>
   void put(const CacheKey& key, Sized<T> sized, const char* klass = "other") {
-    put_erased(key,
-               Computed{std::static_pointer_cast<const void>(
-                            std::move(sized.value)),
-                        sized.bytes},
-               {}, klass);
+    put_erased(key, std::move(sized), {}, klass);
   }
 
   /// put() that also persists the payload to the disk tier (atomic
@@ -307,10 +303,7 @@ class OperatorCache {
   void put_disk(const CacheKey& key, Sized<T> sized, Enc&& encode,
                 const char* klass = "other") {
     const T& value = *sized.value;
-    put_erased(key,
-               Computed{std::static_pointer_cast<const void>(
-                            std::move(sized.value)),
-                        sized.bytes},
+    put_erased(key, std::move(sized),
                [&encode, &value]() -> std::string { return encode(value); },
                klass);
   }
@@ -335,6 +328,10 @@ class OperatorCache {
 
  private:
   struct Computed {
+    Computed() = default;
+    template <typename T>
+    Computed(Sized<T> sized)  // implicit: every Sized<T> erases to this
+        : value(std::move(sized.value)), bytes(sized.bytes) {}
     std::shared_ptr<const void> value;
     std::size_t bytes = 0;
   };
@@ -357,6 +354,11 @@ class OperatorCache {
   void put_erased(const CacheKey& key, Computed computed,
                   const std::function<std::string()>& encode,
                   const char* klass);
+  /// A hit refreshes the entry's LRU position and counts; a miss returns
+  /// nullptr uncounted. Caller holds mutex_.
+  std::shared_ptr<const void> lookup_locked(const CacheKey& key,
+                                            const char* klass);
+  void count_miss_locked(const char* klass);
   /// Insert under the budget, evicting LRU tail entries. Caller holds mutex_.
   void store_locked(const CacheKey& key, const Computed& computed,
                     const char* klass);
@@ -375,6 +377,49 @@ class OperatorCache {
   Stats stats_;
   std::unique_ptr<DiskCache> disk_;  ///< null when no directory is armed
 };
+
+/// What a cache statistic measures: a counter accumulates over the cache's
+/// life, a resident level is a point-in-time sum, the budget is a setting.
+enum class StatKind : std::uint8_t { kCounter, kResident, kBudget };
+
+/// The statistics tables: f(kind, field...) over one field of every
+/// argument at a time, in wire order. Nested records (by_class, disk) are
+/// visited by their own tables.
+template <typename F, typename... S>
+void for_each_stat(F&& f, S&... s)
+  requires(std::is_same_v<std::remove_const_t<S>, DiskCache::Stats> && ...)
+{
+  f(StatKind::kCounter, s.hits...);
+  f(StatKind::kCounter, s.misses...);
+  f(StatKind::kCounter, s.writes...);
+  f(StatKind::kCounter, s.corrupt...);
+  f(StatKind::kCounter, s.errors...);
+}
+
+template <typename F, typename... S>
+void for_each_stat(F&& f, S&... s)
+  requires(std::is_same_v<std::remove_const_t<S>, OperatorCache::ClassStats> &&
+           ...)
+{
+  f(StatKind::kCounter, s.hits...);
+  f(StatKind::kCounter, s.misses...);
+  f(StatKind::kCounter, s.evictions...);
+  f(StatKind::kResident, s.bytes...);
+  f(StatKind::kResident, s.entries...);
+}
+
+template <typename F, typename... S>
+void for_each_stat(F&& f, S&... s)
+  requires(std::is_same_v<std::remove_const_t<S>, OperatorCache::Stats> && ...)
+{
+  f(StatKind::kCounter, s.hits...);
+  f(StatKind::kCounter, s.misses...);
+  f(StatKind::kCounter, s.evictions...);
+  f(StatKind::kCounter, s.inflight_waits...);
+  f(StatKind::kResident, s.bytes...);
+  f(StatKind::kResident, s.entries...);
+  f(StatKind::kBudget, s.byte_budget...);
+}
 
 /// Process-wide cache instance used by the serve scheduler (budget from
 /// UPDEC_CACHE_BYTES at first use).

@@ -36,16 +36,6 @@ struct EntryHeader {
 };
 static_assert(sizeof(EntryHeader) == 48, "entry header must be packed");
 
-std::uint64_t checksum(const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::string hex16(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -91,13 +81,8 @@ bool DiskCache::load(const CacheKey& key, std::string& payload) {
   // delete the file so it cannot poison later runs, report a miss -- the
   // caller recomputes and rewrites.
   const auto corrupt = [&](const char* why) {
-    log_warn() << "serve cache: rejecting corrupt disk entry " << path << " ("
-               << why << ")";
     is.close();
-    std::remove(path.c_str());
-    std::lock_guard lock(stats_mutex_);
-    ++stats_.corrupt;
-    UPDEC_METRIC_ADD("serve/cache.disk_corrupt", 1);
+    reject(key, why);
     return false;
   };
 
@@ -118,7 +103,7 @@ bool DiskCache::load(const CacheKey& key, std::string& payload) {
     return corrupt("trailing bytes");
   if (UPDEC_FAULT_POINT("serve.cache_disk_corrupt") && !payload.empty())
     payload[payload.size() / 2] ^= char{0x5A};  // simulated bit rot
-  if (checksum(payload.data(), payload.size()) != header.payload_checksum)
+  if (fnv1a64(payload.data(), payload.size()) != header.payload_checksum)
     return corrupt("payload checksum");
 
   {
@@ -150,7 +135,7 @@ bool DiskCache::store(const CacheKey& key, std::string_view payload) {
   header.key_hi = key.hi;
   header.key_lo = key.lo;
   header.payload_size = payload.size();
-  header.payload_checksum = checksum(payload.data(), payload.size());
+  header.payload_checksum = fnv1a64(payload.data(), payload.size());
 
   // Unique tmp name per process + store call, so concurrent writers (other
   // threads via distinct caches, or other processes sharing the directory)
@@ -188,8 +173,8 @@ bool DiskCache::store(const CacheKey& key, std::string_view payload) {
 void DiskCache::reject(const CacheKey& key, const std::string& why) {
   if (!enabled_) return;
   const std::string path = path_for(key);
-  log_warn() << "serve cache: rejecting undecodable disk entry " << path
-             << " (" << why << ")";
+  log_warn() << "serve cache: rejecting corrupt disk entry " << path << " ("
+             << why << ")";
   std::remove(path.c_str());
   std::lock_guard lock(stats_mutex_);
   ++stats_.corrupt;

@@ -30,49 +30,6 @@
 
 namespace updec::serve {
 
-const char* to_string(ProblemKind kind) {
-  switch (kind) {
-    case ProblemKind::kLaplace: return "laplace";
-    case ProblemKind::kChannel: return "channel";
-  }
-  return "?";
-}
-
-const char* to_string(Strategy strategy) {
-  switch (strategy) {
-    case Strategy::kDp: return "dp";
-    case Strategy::kDal: return "dal";
-    case Strategy::kFd: return "fd";
-  }
-  return "?";
-}
-
-const char* to_string(JobStatus status) {
-  switch (status) {
-    case JobStatus::kPending: return "pending";
-    case JobStatus::kRunning: return "running";
-    case JobStatus::kSucceeded: return "succeeded";
-    case JobStatus::kCancelled: return "cancelled";
-    case JobStatus::kDeadlineExpired: return "deadline_expired";
-    case JobStatus::kFailed: return "failed";
-    case JobStatus::kRetrying: return "retrying";
-  }
-  return "?";
-}
-
-ProblemKind parse_problem_kind(const std::string& s) {
-  if (s == "laplace") return ProblemKind::kLaplace;
-  if (s == "channel" || s == "navier-stokes") return ProblemKind::kChannel;
-  throw Error("unknown problem kind '" + s + "' (want laplace|channel)");
-}
-
-Strategy parse_strategy(const std::string& s) {
-  if (s == "dp") return Strategy::kDp;
-  if (s == "dal") return Strategy::kDal;
-  if (s == "fd") return Strategy::kFd;
-  throw Error("unknown strategy '" + s + "' (want dp|dal|fd)");
-}
-
 double default_deadline_ms_from_env() {
   const double v = env::get_double("UPDEC_SERVE_DEADLINE_MS", 0.0);
   return v > 0.0 ? v : 0.0;
@@ -90,31 +47,32 @@ RetryPolicy retry_policy_from_env() {
 
 namespace {
 
+/// A problem together with the kernel it references.
+template <typename P>
+struct ProblemHolder {
+  rbf::PolyharmonicSpline kernel{3};
+  std::shared_ptr<P> problem;
+};
+
 /// Everything a Laplace scenario family shares: the kernel, the assembled
 /// problem (collocation + flux operators) and -- via memoize_lu -- the
 /// factorisation. Immutable after construction, so one bundle serves any
 /// number of concurrent jobs (GlobalCollocation's lazy LU is mutex-guarded,
 /// and each DP strategy instance owns its private tape).
-struct LaplaceBundle {
-  std::unique_ptr<const rbf::Kernel> kernel;
-  std::shared_ptr<control::LaplaceControlProblem> problem;
-};
+using LaplaceBundle = ProblemHolder<control::LaplaceControlProblem>;
 
 std::shared_ptr<const LaplaceBundle> laplace_bundle(OperatorCache& cache,
                                                     const Scenario& sc) {
   const rbf::PolyharmonicSpline probe_kernel(3);
-  KeyBuilder kb("laplace-bundle");
-  kb.add(static_cast<std::uint64_t>(sc.grid_n));
-  kb.add(static_cast<std::int64_t>(sc.poly_degree));
+  KeyBuilder kb = family_key(sc, "laplace-bundle");
   kb.add(fingerprint(probe_kernel));
   return cache.get_or_compute<LaplaceBundle>(
       kb.key(),
       [&cache, &sc] {
         UPDEC_TRACE_SCOPE("serve/build_laplace_bundle");
         auto bundle = std::make_shared<LaplaceBundle>();
-        bundle->kernel = std::make_unique<rbf::PolyharmonicSpline>(3);
         bundle->problem = std::make_shared<control::LaplaceControlProblem>(
-            sc.grid_n, *bundle->kernel, sc.poly_degree);
+            sc.grid_n, bundle->kernel, sc.poly_degree);
         // Level 2: the factorisation is ALSO cached under the matrix content
         // hash, so it survives bundle eviction and is shared with any other
         // bundle whose collocation matrix is bit-identical.
@@ -144,8 +102,7 @@ struct LaplaceRomBundle {
 std::shared_ptr<const LaplaceRomBundle> laplace_rom_bundle(
     OperatorCache& cache, const Scenario& sc, const rom::RomConfig& rc) {
   const rbf::PolyharmonicSpline probe_kernel(3);
-  KeyBuilder kb("laplace-rom-bundle");
-  kb.add(static_cast<std::uint64_t>(sc.grid_n));
+  KeyBuilder kb = family_key(sc, "laplace-rom-bundle");
   kb.add(fingerprint(probe_kernel));
   // The ROM knobs shape the solver's behaviour, not just its speed, so two
   // configurations never share a bundle (or its accumulated snapshots).
@@ -158,8 +115,10 @@ std::shared_ptr<const LaplaceRomBundle> laplace_rom_bundle(
         UPDEC_TRACE_SCOPE("serve/build_laplace_rom_bundle");
         auto bundle = std::make_shared<LaplaceRomBundle>();
         bundle->kernel = std::make_unique<rbf::PolyharmonicSpline>(3);
+        rbf::RbffdConfig stencil;
+        stencil.poly_degree = sc.poly_degree;
         bundle->problem = std::make_shared<rom::LaplaceFdControlProblem>(
-            sc.grid_n, *bundle->kernel);
+            sc.grid_n, *bundle->kernel, stencil);
         la::SparseFirstSolver& op = bundle->problem->solver().op();
         // Escalated solves run the full Krylov chain -- give them the
         // memoized ILU factors like any other sparse-path consumer.
@@ -194,26 +153,19 @@ std::shared_ptr<const LaplaceRomBundle> laplace_rom_bundle(
 /// the discretisation + refinement knobs only, never on a particular job's
 /// iteration budget, or two jobs of the same family would disagree about
 /// which cloud they share.
-struct LaplaceRefinedBundle {
-  std::unique_ptr<const rbf::Kernel> kernel;
-  std::shared_ptr<rom::LaplaceFdControlProblem> problem;
-};
+using LaplaceRefinedBundle = ProblemHolder<rom::LaplaceFdControlProblem>;
 
 std::shared_ptr<const LaplaceRefinedBundle> laplace_refined_bundle(
     OperatorCache& cache, const Scenario& sc) {
   const rbf::PolyharmonicSpline probe_kernel(3);
   refine::RefineConfig rc;
   rc.cycles = sc.refine_cycles;
-  if (sc.refine_fraction > 0.0 && sc.refine_fraction < 1.0)
-    rc.refine_fraction = sc.refine_fraction;
-  KeyBuilder kb("laplace-refined-bundle");
-  kb.add(static_cast<std::uint64_t>(sc.grid_n));
-  kb.add(static_cast<std::int64_t>(sc.poly_degree));
+  rc.refine_fraction = resolved_refine_fraction(sc);
+  // The family key carries the refinement level (cycles, resolved
+  // fraction); the config's internal knobs shape the adapted cloud too, so
+  // two settings of them must never alias (the cloud IS the artefact).
+  KeyBuilder kb = family_key(sc, "laplace-refined-bundle");
   kb.add(fingerprint(probe_kernel));
-  // The refinement level: every knob that shapes the adapted cloud. Two
-  // levels must never alias (the cloud IS the artefact).
-  kb.add(static_cast<std::uint64_t>(rc.cycles));
-  kb.add(rc.refine_fraction);
   kb.add(rc.coarsen_fraction);
   kb.add(static_cast<std::uint64_t>(rc.max_nodes));
   return cache.get_or_compute<LaplaceRefinedBundle>(
@@ -221,15 +173,13 @@ std::shared_ptr<const LaplaceRefinedBundle> laplace_refined_bundle(
       [&sc, &rc] {
         UPDEC_TRACE_SCOPE("serve/build_laplace_refined_bundle");
         auto bundle = std::make_shared<LaplaceRefinedBundle>();
-        bundle->kernel = std::make_unique<rbf::PolyharmonicSpline>(3);
         refine::AdaptiveOptions options;
         options.refine = rc;
-        refine::AdaptiveLoop loop(sc.grid_n, *bundle->kernel, options);
+        options.stencil.poly_degree = sc.poly_degree;
+        refine::AdaptiveLoop loop(sc.grid_n, bundle->kernel, options);
         bundle->problem = loop.run().problem;
-        const la::CsrMatrix& m = bundle->problem->solver().op().matrix();
         const std::size_t bytes =
-            (m.values().size() + m.col_idx().size()) * sizeof(double) +
-            m.row_ptr().size() * sizeof(std::size_t);
+            csr_bytes(bundle->problem->solver().op().matrix());
         return OperatorCache::Sized<LaplaceRefinedBundle>{std::move(bundle),
                                                           bytes};
       },
@@ -246,10 +196,7 @@ struct Built {
 /// Channel problems are built per job (the projection solver caches state
 /// internally and is not documented concurrency-safe), so only hold the
 /// kernel + problem together.
-struct ChannelHolder {
-  rbf::PolyharmonicSpline kernel{3};
-  std::shared_ptr<control::ChannelFlowControlProblem> problem;
-};
+using ChannelHolder = ProblemHolder<control::ChannelFlowControlProblem>;
 
 Built build_job(const Scenario& sc, OperatorCache& cache) {
   Built built;
@@ -259,12 +206,9 @@ Built build_job(const Scenario& sc, OperatorCache& cache) {
       // Takes precedence over the ROM reroute -- the ROM bundle's POD basis
       // belongs to the uniform operator and must not be mixed with a
       // refined discretisation.
-      std::shared_ptr<const LaplaceRefinedBundle> bundle =
-          laplace_refined_bundle(cache, sc);
-      built.strategy = rom::make_laplace_fd_dal(bundle->problem);
-      built.problem = bundle->problem;
-      built.keepalive = bundle;
-      return built;
+      auto bundle = laplace_refined_bundle(cache, sc);
+      return {bundle->problem, rom::make_laplace_fd_dal(bundle->problem),
+              bundle};
     }
     if (sc.strategy == Strategy::kDal) {
       // UPDEC_ROM=1 reroutes Laplace DAL jobs through the reduced-order
@@ -273,13 +217,10 @@ Built build_job(const Scenario& sc, OperatorCache& cache) {
       // its error estimate misses UPDEC_ROM_TOL.
       const rom::RomConfig rc = rom::config_from_env();
       if (rc.enabled) {
-        std::shared_ptr<const LaplaceRomBundle> bundle =
-            laplace_rom_bundle(cache, sc, rc);
-        built.strategy = rom::make_laplace_rom_dal(bundle->problem,
-                                                   bundle->rom);
-        built.problem = bundle->problem;
-        built.keepalive = bundle;
-        return built;
+        auto bundle = laplace_rom_bundle(cache, sc, rc);
+        return {bundle->problem,
+                rom::make_laplace_rom_dal(bundle->problem, bundle->rom),
+                bundle};
       }
     }
     std::shared_ptr<const LaplaceBundle> bundle = laplace_bundle(cache, sc);
@@ -472,7 +413,20 @@ JobReport run_scenario(const Scenario& scenario, OperatorCache& cache,
   JobReport report;
   std::size_t attempts = 0;
   std::size_t retries_taken = 0;
-  for (;;) {
+  // Only Laplace DAL is served on a refined cloud; anywhere else the field
+  // would key a family it never builds, so the job fails before any attempt.
+  const bool misconfigured =
+      scenario.refine_cycles > 0 &&
+      (scenario.problem != ProblemKind::kLaplace ||
+       scenario.strategy != Strategy::kDal);
+  if (misconfigured) {
+    report.id = scenario.id;
+    report.status = JobStatus::kFailed;
+    report.error = "refine_cycles > 0 needs a laplace dal job, not " +
+                   std::string(to_string(scenario.problem)) + " " +
+                   to_string(scenario.strategy);
+  }
+  while (!misconfigured) {
     ++attempts;
     report = run_attempt(scenario, cache, effective_deadline_ms, start,
                          external_stop, policy, /*degraded_attempt=*/false);
@@ -548,20 +502,9 @@ JobReport run_scenario(const Scenario& scenario, OperatorCache& cache,
   if (metrics::enabled()) {
     metrics::observe("serve/job.seconds", report.seconds);
     if (report.degraded) metrics::counter_add("serve/jobs.degraded");
-    switch (report.status) {
-      case JobStatus::kSucceeded:
-        metrics::counter_add("serve/jobs.succeeded");
-        break;
-      case JobStatus::kCancelled:
-        metrics::counter_add("serve/jobs.cancelled");
-        break;
-      case JobStatus::kDeadlineExpired:
-        metrics::counter_add("serve/jobs.deadline_expired");
-        break;
-      default:
-        metrics::counter_add("serve/jobs.failed");
-        break;
-    }
+    // Final: succeeded, cancelled, deadline_expired or failed.
+    metrics::counter_add(
+        ("serve/jobs." + std::string(to_string(report.status))).c_str());
   }
   if (report.status == JobStatus::kFailed)
     log_warn() << "serve job '" << report.id << "' failed after "
@@ -725,26 +668,13 @@ OperatorCache::Stats Scheduler::cache_stats() {
   OperatorCache::Stats stats = cache_->stats();
   if (!shards_) return stats;
   const OperatorCache::Stats workers = shards_->collect_stats();
-  stats.hits += workers.hits;
-  stats.misses += workers.misses;
-  stats.evictions += workers.evictions;
-  stats.inflight_waits += workers.inflight_waits;
-  stats.bytes += workers.bytes;
-  stats.entries += workers.entries;
-  stats.byte_budget = std::max(stats.byte_budget, workers.byte_budget);
-  for (const auto& [name, cs] : workers.by_class) {
-    OperatorCache::ClassStats& out = stats.by_class[name];
-    out.hits += cs.hits;
-    out.misses += cs.misses;
-    out.evictions += cs.evictions;
-    out.bytes += cs.bytes;
-    out.entries += cs.entries;
-  }
-  stats.disk.hits += workers.disk.hits;
-  stats.disk.misses += workers.disk.misses;
-  stats.disk.writes += workers.disk.writes;
-  stats.disk.corrupt += workers.disk.corrupt;
-  stats.disk.errors += workers.disk.errors;
+  const auto add = [](StatKind kind, auto& out, const auto& in) {
+    out = kind == StatKind::kBudget ? std::max(out, in) : out + in;
+  };
+  for_each_stat(add, stats, workers);
+  for_each_stat(add, stats.disk, workers.disk);
+  for (const auto& [name, cs] : workers.by_class)
+    for_each_stat(add, stats.by_class[name], cs);
   return stats;
 }
 

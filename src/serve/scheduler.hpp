@@ -43,122 +43,16 @@
 
 #include "serve/cache.hpp"
 #include "serve/pool.hpp"
+#include "serve/scenario.hpp"
 
 namespace updec::serve {
 
 class ShardPool;
 
-enum class ProblemKind : std::uint8_t { kLaplace = 0, kChannel = 1 };
-enum class Strategy : std::uint8_t { kDp = 0, kDal = 1, kFd = 2 };
-
-[[nodiscard]] const char* to_string(ProblemKind kind);
-[[nodiscard]] const char* to_string(Strategy strategy);
-/// Parse "laplace"/"channel" and "dp"/"dal"/"fd" (throws updec::Error).
-[[nodiscard]] ProblemKind parse_problem_kind(const std::string& s);
-[[nodiscard]] Strategy parse_strategy(const std::string& s);
-
-/// One optimisation run to serve.
-struct Scenario {
-  std::string id;                ///< caller-chosen label for the report
-  ProblemKind problem = ProblemKind::kLaplace;
-  Strategy strategy = Strategy::kDal;
-
-  // Discretisation.
-  std::size_t grid_n = 16;        ///< Laplace: nodes per side
-  std::size_t target_nodes = 500; ///< Channel: cloud size
-  double reynolds = 1.0;          ///< Channel only
-  int poly_degree = 1;
-
-  // Optimisation budget.
-  std::size_t iterations = 50;
-  double learning_rate = 1e-2;
-  double fd_step = 1e-6;
-
-  // Per-job initial-control perturbation: control[i] += jitter * N(0, 1)
-  // drawn from Rng(seed). jitter == 0 reproduces the problem's canonical
-  // initial control regardless of seed.
-  std::uint64_t seed = 0;
-  double control_jitter = 0.0;
-
-  /// Wall-clock budget for THIS job; 0 falls back to the scheduler's
-  /// default (SchedulerOptions::default_deadline_ms), which itself
-  /// defaults to "no deadline".
-  double deadline_ms = 0.0;
-
-  // Adaptive refinement (Laplace DAL only). refine_cycles > 0 serves the
-  // job on an adjoint-adapted cloud grown from grid_n by that many
-  // refine::AdaptiveLoop cycles; the refined discretisation is a cached
-  // family artefact, so the cycle count and fraction are part of every
-  // operator fingerprint (a refined cloud must never alias the uniform one,
-  // or another refinement level, in the cache or in shard routing).
-  std::size_t refine_cycles = 0;
-  double refine_fraction = 0.0;   ///< <= 0 uses RefineConfig's default
-};
-
-enum class JobStatus : std::uint8_t {
-  kPending = 0,
-  kRunning = 1,
-  kSucceeded = 2,
-  kCancelled = 3,         ///< Scheduler::cancel() before/while running
-  kDeadlineExpired = 4,   ///< cooperative deadline stop
-  kFailed = 5,            ///< solver threw or the driver aborted
-  kRetrying = 6,          ///< live-only: backing off before another attempt
-};
-
-[[nodiscard]] const char* to_string(JobStatus status);
-
-/// How run_scenario handles transient failures: up to `max_retries` extra
-/// attempts with exponential backoff and a deterministic per-job jitter,
-/// every delay charged against the job's deadline (a retry that cannot fit
-/// in the remaining budget is not taken -- the job resolves to
-/// kDeadlineExpired instead of spinning), and an optional final best-effort
-/// degraded attempt once the retry budget is gone.
-struct RetryPolicy {
-  std::size_t max_retries = 0;      ///< extra attempts after the first
-  double backoff_ms = 50.0;         ///< delay before the first retry
-  double backoff_multiplier = 2.0;  ///< growth per subsequent retry
-  double max_backoff_ms = 2000.0;   ///< cap on any single delay
-  double jitter = 0.1;              ///< +/- fraction, drawn from Rng(seed)
-
-  /// After the last retry fails, run one more attempt with the iteration
-  /// budget truncated to `degraded_iterations` of the scenario's and a
-  /// doubled divergence-recovery budget. A success is reported with
-  /// JobReport::degraded set (and the achieved gradient norm recorded)
-  /// instead of a hard kFailed.
-  bool allow_degraded = true;
-  double degraded_iterations = 0.25;  ///< fraction of Scenario::iterations
-
-  /// When > 0 and the job has a deadline: once elapsed time crosses this
-  /// fraction of the deadline, ask the driver to wrap up via
-  /// DriverOptions::should_degrade. The job then resolves as a degraded
-  /// success with the trajectory so far, rather than running into the hard
-  /// deadline and resolving kDeadlineExpired. 0 (default) disables.
-  double soft_deadline_fraction = 0.0;
-};
-
 /// Policy implied by the environment: UPDEC_SERVE_RETRIES (max_retries) and
-/// UPDEC_SERVE_BACKOFF_MS (backoff_ms) over the defaults above; malformed
+/// UPDEC_SERVE_BACKOFF_MS (backoff_ms) over RetryPolicy's defaults; malformed
 /// values warn and keep the defaults (strict whole-string parse).
 [[nodiscard]] RetryPolicy retry_policy_from_env();
-
-/// Outcome of one scenario.
-struct JobReport {
-  std::string id;
-  JobStatus status = JobStatus::kPending;
-  double seconds = 0.0;              ///< wall-clock inside the job (all attempts)
-  double final_cost = 0.0;
-  std::size_t iterations = 0;        ///< accepted optimisation iterations
-  std::vector<double> cost_history;  ///< J per iteration (possibly truncated)
-  std::string error;                 ///< populated for kFailed
-  std::size_t attempts = 0;          ///< attempts executed (>= 1 once run)
-  std::size_t retries = 0;           ///< backoff delays actually taken
-  bool degraded = false;             ///< best-effort result (see RetryPolicy)
-  /// Final gradient norm of the returned trajectory -- the optimisation
-  /// tolerance actually achieved, meaningful mainly when `degraded`.
-  double achieved_tolerance = 0.0;
-
-  [[nodiscard]] bool ok() const { return status == JobStatus::kSucceeded; }
-};
 
 struct SchedulerOptions {
   std::size_t threads = 0;          ///< 0 -> default_thread_count()

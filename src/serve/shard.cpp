@@ -12,8 +12,10 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <deque>
+#include <iostream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -30,6 +32,7 @@
 #include "util/faultinject.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace updec::serve {
 
@@ -40,25 +43,11 @@ std::size_t shards_from_env() {
 bool steal_from_env() { return env::get_bool("UPDEC_SERVE_STEAL", true); }
 
 std::uint64_t scenario_fingerprint(const Scenario& scenario) {
-  // Exactly the fields the bundle caches key on: two scenarios that share
-  // discretisation artefacts MUST share a fingerprint (shard affinity is the
-  // whole point), and id/seed/budget fields MUST NOT perturb routing.
-  KeyBuilder kb("shard-route");
-  kb.add(static_cast<std::uint64_t>(scenario.problem));
-  if (scenario.problem == ProblemKind::kLaplace) {
-    kb.add(static_cast<std::uint64_t>(scenario.grid_n));
-  } else {
-    kb.add(static_cast<std::uint64_t>(scenario.target_nodes));
-    kb.add(scenario.reynolds);
-  }
-  kb.add(static_cast<std::int64_t>(scenario.poly_degree));
-  // Refinement level: a refined cloud is a different discretisation family
-  // than the uniform one (and than any other cycle count / fraction), so it
-  // must route to its own shard affinity, mirroring the refined-bundle key.
-  kb.add(static_cast<std::uint64_t>(scenario.refine_cycles));
-  kb.add(scenario.refine_fraction);
-  const CacheKey key = kb.key();
-  return key.hi ^ key.lo;
+  // Both FNV-1a lanes share one prime, so their low bits move together and
+  // `hi ^ lo` has constant low bits: `% n` would send every job to one
+  // shard. The splitmix64 finaliser spreads every input bit over the word.
+  const CacheKey key = family_key(scenario, "shard-route").key();
+  return Rng(key.hi ^ key.lo).next_u64();
 }
 
 namespace {
@@ -76,23 +65,17 @@ double ms_since(Clock::time_point start) {
 void add_cache_counter_deltas(OperatorCache::Stats& acc,
                               const OperatorCache::Stats& prev,
                               const OperatorCache::Stats& cur) {
-  acc.hits += cur.hits - prev.hits;
-  acc.misses += cur.misses - prev.misses;
-  acc.evictions += cur.evictions - prev.evictions;
-  acc.inflight_waits += cur.inflight_waits - prev.inflight_waits;
-  acc.disk.hits += cur.disk.hits - prev.disk.hits;
-  acc.disk.misses += cur.disk.misses - prev.disk.misses;
-  acc.disk.writes += cur.disk.writes - prev.disk.writes;
-  acc.disk.corrupt += cur.disk.corrupt - prev.disk.corrupt;
-  acc.disk.errors += cur.disk.errors - prev.disk.errors;
+  const auto delta = [](StatKind kind, auto& a, const auto& p,
+                        const auto& c) {
+    if (kind == StatKind::kCounter) a += c - p;
+  };
+  for_each_stat(delta, acc, prev, cur);
+  for_each_stat(delta, acc.disk, prev.disk, cur.disk);
+  const OperatorCache::ClassStats none;
   for (const auto& [name, cs] : cur.by_class) {
-    OperatorCache::ClassStats prev_cs;
     const auto it = prev.by_class.find(name);
-    if (it != prev.by_class.end()) prev_cs = it->second;
-    OperatorCache::ClassStats& out = acc.by_class[name];
-    out.hits += cs.hits - prev_cs.hits;
-    out.misses += cs.misses - prev_cs.misses;
-    out.evictions += cs.evictions - prev_cs.evictions;
+    for_each_stat(delta, acc.by_class[name],
+                  it != prev.by_class.end() ? it->second : none, cs);
   }
 }
 
@@ -100,14 +83,13 @@ void add_cache_counter_deltas(OperatorCache::Stats& acc,
 /// residency on top of the accumulated counters.
 void add_cache_resident(OperatorCache::Stats& out,
                         const OperatorCache::Stats& cur) {
-  out.bytes += cur.bytes;
-  out.entries += cur.entries;
-  out.byte_budget = std::max(out.byte_budget, cur.byte_budget);
-  for (const auto& [name, cs] : cur.by_class) {
-    OperatorCache::ClassStats& o = out.by_class[name];
-    o.bytes += cs.bytes;
-    o.entries += cs.entries;
-  }
+  const auto add = [](StatKind kind, auto& o, const auto& c) {
+    if (kind == StatKind::kResident) o += c;
+    if (kind == StatKind::kBudget) o = std::max(o, c);
+  };
+  for_each_stat(add, out, cur);
+  for (const auto& [name, cs] : cur.by_class)
+    for_each_stat(add, out.by_class[name], cs);
 }
 
 // ---- worker side ---------------------------------------------------------
@@ -299,6 +281,10 @@ struct ShardPool::Impl {
       log_warn() << "shard: socketpair failed: " << std::strerror(errno);
       return false;
     }
+    // The child inherits unflushed stdio buffers, and its first log line
+    // (cerr is tied to cout) would write the parent's pending output again.
+    std::cout.flush();
+    std::fflush(nullptr);
     const pid_t pid = ::fork();
     if (pid < 0) {
       log_warn() << "shard: fork failed: " << std::strerror(errno);
@@ -612,6 +598,11 @@ ShardPool::ShardPool(ShardOptions options) : impl_(new Impl) {
       for (const int fd : stats_requests)
         (void)wire::write_frame_fd(fd,
                                    {wire::FrameType::kStatsRequest, {}});
+      // Report the kRunning transitions now: the poll below may block until
+      // the job's result arrives, which must come after them.
+      for (const Impl::Resolution& r : resolutions)
+        if (im.on_status) im.on_status(r.id, r.status);
+      resolutions.clear();
 
       // Phase 3: poll. Timeout only needed to enforce deadline reaps.
       std::vector<pollfd> pfds;

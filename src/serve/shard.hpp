@@ -56,11 +56,11 @@ namespace updec::serve {
 /// UPDEC_SERVE_STEAL: work stealing between shards, default on.
 [[nodiscard]] bool steal_from_env();
 
-/// Routing fingerprint of a scenario: a content hash of exactly the fields
-/// that determine its discretisation artefacts (problem kind, grid/cloud
-/// size, Reynolds, polynomial degree). Jobs that share operators share a
+/// Routing fingerprint of a scenario: family_key() -- exactly the fields
+/// that pick its operator family -- through a splitmix64 finaliser, so
+/// `% shards` spreads families evenly. Jobs that share operators share a
 /// fingerprint -- and therefore a shard -- regardless of id, seed,
-/// iteration budget or jitter.
+/// strategy, iteration budget or jitter.
 [[nodiscard]] std::uint64_t scenario_fingerprint(const Scenario& scenario);
 
 struct ShardOptions {

@@ -3,210 +3,61 @@
 #include <sys/socket.h>
 
 #include <cerrno>
-#include <cstring>
 
+#include "serve/codec.hpp"
 #include "util/error.hpp"
 
 namespace updec::serve::wire {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-/// Little-endian scalar append/extract. The serve tier only targets
-/// same-machine socketpairs, but fixing the byte order keeps frames
-/// comparable in tests and debuggable in captures.
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-/// Bounds-checked payload builder/parser (same discipline as the disk-cache
-/// codecs: whole-value reads, strict lengths, throw on any truncation).
-class Writer {
- public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u64(std::uint64_t v) { put_u64(out_, v); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void str(std::string_view s) {
-    u64(s.size());
-    out_.append(s.data(), s.size());
-  }
-  [[nodiscard]] std::string take() { return std::move(out_); }
-
- private:
-  std::string out_;
+// The payload layouts, walked by Writer (encode) and Reader (decode) alike.
+constexpr auto walk_job = [](auto& io, auto& job) {
+  io(job.job_id);
+  io(job.deadline_ms);
+  for_each_field(job.retry, io);
+  for_each_field(job.scenario, [&io](const FieldInfo&, auto& v) { io(v); });
 };
 
-class Reader {
- public:
-  explicit Reader(std::string_view in) : in_(in) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(in_[pos_++]);
-  }
-  std::uint64_t u64() {
-    need(8);
-    const std::uint64_t v =
-        get_u64(reinterpret_cast<const unsigned char*>(in_.data()) + pos_);
-    pos_ += 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s(in_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-  /// Every payload codec ends with this: trailing bytes mean the peer and we
-  /// disagree about the schema, which is as fatal as truncation.
-  void finish() const {
-    if (pos_ != in_.size())
-      throw Error("wire: trailing bytes in payload");
-  }
-
- private:
-  void need(std::uint64_t n) {
-    if (n > in_.size() - pos_) throw Error("wire: truncated payload");
-  }
-
-  std::string_view in_;
-  std::size_t pos_ = 0;
+constexpr auto walk_result = [](auto& io, auto& result) {
+  io(result.job_id);
+  for_each_field(result.report, io);
 };
 
-void put_scenario(Writer& w, const Scenario& sc) {
-  w.str(sc.id);
-  w.u8(static_cast<std::uint8_t>(sc.problem));
-  w.u8(static_cast<std::uint8_t>(sc.strategy));
-  w.u64(sc.grid_n);
-  w.u64(sc.target_nodes);
-  w.f64(sc.reynolds);
-  w.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(sc.poly_degree)));
-  w.u64(sc.iterations);
-  w.f64(sc.learning_rate);
-  w.f64(sc.fd_step);
-  w.u64(sc.seed);
-  w.f64(sc.control_jitter);
-  w.f64(sc.deadline_ms);
-  w.u64(sc.refine_cycles);
-  w.f64(sc.refine_fraction);
+constexpr auto walk_cancel = [](auto& io, auto& cancel) { io(cancel.job_id); };
+
+constexpr auto walk_stats = [](auto& io, auto& stats) {
+  io(stats.counters);
+  for_each_stat(io, stats.cache);
+  io(stats.cache.by_class);
+  for_each_stat(io, stats.cache.disk);
+};
+
+template <typename T, typename Walk>
+std::string encode(const T& payload, Walk walk) {
+  Writer w;
+  walk(w, payload);
+  return w.take();
 }
 
-Scenario get_scenario(Reader& r) {
-  Scenario sc;
-  sc.id = r.str();
-  const std::uint8_t problem = r.u8();
-  if (problem > 1) throw Error("wire: bad ProblemKind byte");
-  sc.problem = static_cast<ProblemKind>(problem);
-  const std::uint8_t strategy = r.u8();
-  if (strategy > 2) throw Error("wire: bad Strategy byte");
-  sc.strategy = static_cast<Strategy>(strategy);
-  sc.grid_n = static_cast<std::size_t>(r.u64());
-  sc.target_nodes = static_cast<std::size_t>(r.u64());
-  sc.reynolds = r.f64();
-  sc.poly_degree = static_cast<int>(static_cast<std::int64_t>(r.u64()));
-  sc.iterations = static_cast<std::size_t>(r.u64());
-  sc.learning_rate = r.f64();
-  sc.fd_step = r.f64();
-  sc.seed = r.u64();
-  sc.control_jitter = r.f64();
-  sc.deadline_ms = r.f64();
-  sc.refine_cycles = static_cast<std::size_t>(r.u64());
-  sc.refine_fraction = r.f64();
-  return sc;
-}
-
-void put_retry(Writer& w, const RetryPolicy& p) {
-  w.u64(p.max_retries);
-  w.f64(p.backoff_ms);
-  w.f64(p.backoff_multiplier);
-  w.f64(p.max_backoff_ms);
-  w.f64(p.jitter);
-  w.u8(p.allow_degraded ? 1 : 0);
-  w.f64(p.degraded_iterations);
-  w.f64(p.soft_deadline_fraction);
-}
-
-RetryPolicy get_retry(Reader& r) {
-  RetryPolicy p;
-  p.max_retries = static_cast<std::size_t>(r.u64());
-  p.backoff_ms = r.f64();
-  p.backoff_multiplier = r.f64();
-  p.max_backoff_ms = r.f64();
-  p.jitter = r.f64();
-  p.allow_degraded = r.u8() != 0;
-  p.degraded_iterations = r.f64();
-  p.soft_deadline_fraction = r.f64();
-  return p;
-}
-
-void put_disk_stats(Writer& w, const DiskCache::Stats& d) {
-  w.u64(d.hits);
-  w.u64(d.misses);
-  w.u64(d.writes);
-  w.u64(d.corrupt);
-  w.u64(d.errors);
-}
-
-DiskCache::Stats get_disk_stats(Reader& r) {
-  DiskCache::Stats d;
-  d.hits = r.u64();
-  d.misses = r.u64();
-  d.writes = r.u64();
-  d.corrupt = r.u64();
-  d.errors = r.u64();
-  return d;
+template <typename T, typename Walk>
+T decode(std::string_view bytes, Walk walk) {
+  Reader r(bytes);
+  T payload;
+  walk(r, payload);
+  r.finish();
+  return payload;
 }
 
 }  // namespace
 
-std::uint64_t checksum(const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 std::string encode_frame(const Frame& frame) {
-  std::string out;
-  out.reserve(kHeaderBytes + frame.payload.size());
-  put_u32(out, kMagic);
-  put_u32(out, static_cast<std::uint32_t>(frame.type));
-  put_u64(out, frame.payload.size());
-  put_u64(out, checksum(frame.payload.data(), frame.payload.size()));
+  Writer w;
+  w.u32(kMagic);
+  w.u32(static_cast<std::uint32_t>(frame.type));
+  w.u64(frame.payload.size());
+  w.u64(fnv1a64(frame.payload.data(), frame.payload.size()));
+  std::string out = w.take();
   out.append(frame.payload);
   return out;
 }
@@ -217,20 +68,20 @@ DecodeResult decode_frame(std::string_view buffer) {
     res.status = DecodeStatus::kNeedMore;
     return res;
   }
-  const auto* p = reinterpret_cast<const unsigned char*>(buffer.data());
-  const std::uint32_t magic = get_u32(p);
+  Reader header(buffer.substr(0, kHeaderBytes));
+  const std::uint32_t magic = header.u32();
   if (magic != kMagic) {
     res.status = DecodeStatus::kMalformed;
     res.error = "bad magic";
     return res;
   }
-  const std::uint32_t type = get_u32(p + 4);
+  const std::uint32_t type = header.u32();
   if (type < 1 || type > 6) {
     res.status = DecodeStatus::kMalformed;
     res.error = "unknown frame type " + std::to_string(type);
     return res;
   }
-  const std::uint64_t len = get_u64(p + 8);
+  const std::uint64_t len = header.u64();
   if (len > kMaxPayloadBytes) {
     res.status = DecodeStatus::kMalformed;
     res.error = "payload length " + std::to_string(len) + " exceeds cap";
@@ -240,8 +91,8 @@ DecodeResult decode_frame(std::string_view buffer) {
     res.status = DecodeStatus::kNeedMore;
     return res;
   }
-  const std::uint64_t want = get_u64(p + 16);
-  const std::uint64_t got = checksum(buffer.data() + kHeaderBytes,
+  const std::uint64_t want = header.u64();
+  const std::uint64_t got = fnv1a64(buffer.data() + kHeaderBytes,
                                      static_cast<std::size_t>(len));
   if (want != got) {
     res.status = DecodeStatus::kMalformed;
@@ -256,145 +107,34 @@ DecodeResult decode_frame(std::string_view buffer) {
   return res;
 }
 
-std::string encode_job(const JobFrame& job) {
-  Writer w;
-  w.u64(job.job_id);
-  w.f64(job.deadline_ms);
-  put_retry(w, job.retry);
-  put_scenario(w, job.scenario);
-  return w.take();
-}
+std::string encode_job(const JobFrame& job) { return encode(job, walk_job); }
 
 JobFrame decode_job(std::string_view payload) {
-  Reader r(payload);
-  JobFrame job;
-  job.job_id = r.u64();
-  job.deadline_ms = r.f64();
-  job.retry = get_retry(r);
-  job.scenario = get_scenario(r);
-  r.finish();
-  return job;
+  return decode<JobFrame>(payload, walk_job);
 }
 
 std::string encode_result(const ResultFrame& result) {
-  const JobReport& rep = result.report;
-  Writer w;
-  w.u64(result.job_id);
-  w.str(rep.id);
-  w.u8(static_cast<std::uint8_t>(rep.status));
-  w.f64(rep.seconds);
-  w.f64(rep.final_cost);
-  w.u64(rep.iterations);
-  w.u64(rep.cost_history.size());
-  for (const double c : rep.cost_history) w.f64(c);
-  w.str(rep.error);
-  w.u64(rep.attempts);
-  w.u64(rep.retries);
-  w.u8(rep.degraded ? 1 : 0);
-  w.f64(rep.achieved_tolerance);
-  return w.take();
+  return encode(result, walk_result);
 }
 
 ResultFrame decode_result(std::string_view payload) {
-  Reader r(payload);
-  ResultFrame result;
-  result.job_id = r.u64();
-  JobReport& rep = result.report;
-  rep.id = r.str();
-  const std::uint8_t status = r.u8();
-  if (status > 6) throw Error("wire: bad JobStatus byte");
-  rep.status = static_cast<JobStatus>(status);
-  rep.seconds = r.f64();
-  rep.final_cost = r.f64();
-  rep.iterations = static_cast<std::size_t>(r.u64());
-  const std::uint64_t n = r.u64();
-  if (n > kMaxPayloadBytes / sizeof(double))
-    throw Error("wire: cost_history length out of range");
-  rep.cost_history.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) rep.cost_history.push_back(r.f64());
-  rep.error = r.str();
-  rep.attempts = static_cast<std::size_t>(r.u64());
-  rep.retries = static_cast<std::size_t>(r.u64());
-  rep.degraded = r.u8() != 0;
-  rep.achieved_tolerance = r.f64();
-  r.finish();
-  return result;
+  return decode<ResultFrame>(payload, walk_result);
 }
 
 std::string encode_cancel(const CancelFrame& cancel) {
-  Writer w;
-  w.u64(cancel.job_id);
-  return w.take();
+  return encode(cancel, walk_cancel);
 }
 
 CancelFrame decode_cancel(std::string_view payload) {
-  Reader r(payload);
-  CancelFrame cancel;
-  cancel.job_id = r.u64();
-  r.finish();
-  return cancel;
+  return decode<CancelFrame>(payload, walk_cancel);
 }
 
 std::string encode_stats(const StatsFrame& stats) {
-  Writer w;
-  w.u64(stats.counters.size());
-  for (const auto& c : stats.counters) {
-    w.str(c.name);
-    w.u64(c.value);
-  }
-  const OperatorCache::Stats& s = stats.cache;
-  w.u64(s.hits);
-  w.u64(s.misses);
-  w.u64(s.evictions);
-  w.u64(s.inflight_waits);
-  w.u64(s.bytes);
-  w.u64(s.entries);
-  w.u64(s.byte_budget);
-  w.u64(s.by_class.size());
-  for (const auto& [name, cs] : s.by_class) {
-    w.str(name);
-    w.u64(cs.hits);
-    w.u64(cs.misses);
-    w.u64(cs.evictions);
-    w.u64(cs.bytes);
-    w.u64(cs.entries);
-  }
-  put_disk_stats(w, s.disk);
-  return w.take();
+  return encode(stats, walk_stats);
 }
 
 StatsFrame decode_stats(std::string_view payload) {
-  Reader r(payload);
-  StatsFrame stats;
-  const std::uint64_t n_counters = r.u64();
-  for (std::uint64_t i = 0; i < n_counters; ++i) {
-    metrics::CounterSample c;
-    c.name = r.str();
-    c.value = r.u64();
-    stats.counters.push_back(std::move(c));
-  }
-  OperatorCache::Stats& s = stats.cache;
-  s.hits = r.u64();
-  s.misses = r.u64();
-  s.evictions = r.u64();
-  s.inflight_waits = r.u64();
-  s.bytes = static_cast<std::size_t>(r.u64());
-  s.entries = static_cast<std::size_t>(r.u64());
-  s.byte_budget = static_cast<std::size_t>(r.u64());
-  const std::uint64_t n_classes = r.u64();
-  for (std::uint64_t i = 0; i < n_classes; ++i) {
-    std::string name = r.str();
-    OperatorCache::ClassStats cs;
-    cs.hits = r.u64();
-    cs.misses = r.u64();
-    cs.evictions = r.u64();
-    cs.bytes = static_cast<std::size_t>(r.u64());
-    cs.entries = static_cast<std::size_t>(r.u64());
-    s.by_class.emplace(std::move(name), cs);
-  }
-  s.disk = get_disk_stats(r);
-  r.finish();
-  return stats;
+  return decode<StatsFrame>(payload, walk_stats);
 }
 
 bool write_frame_fd(int fd, const Frame& frame) {
@@ -460,11 +200,9 @@ std::optional<wire::Frame> FrameReader::read_blocking() {
 
 std::optional<wire::Frame> FrameReader::poll_frame() {
   if (auto frame = next_frame()) return frame;
-  if (!read_available()) {
-    // Peer gone. Whatever is buffered may still hold whole frames; after
-    // that the caller sees nullopt forever and handles the EOF elsewhere.
-    return next_frame();
-  }
+  // On EOF whatever is buffered may still hold whole frames; after that the
+  // caller sees nullopt forever and handles the EOF elsewhere.
+  (void)read_available();
   return next_frame();
 }
 

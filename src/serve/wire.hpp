@@ -45,17 +45,11 @@ enum class FrameType : std::uint32_t {
 /// "UPW1" -- updec wire, format 1.
 inline constexpr std::uint32_t kMagic = 0x31575055u;
 inline constexpr std::size_t kHeaderBytes = 24;
-/// Sanity bound on a single payload; a JobReport with a full cost history is
-/// kilobytes, so anything near this is stream corruption, not data.
-inline constexpr std::uint64_t kMaxPayloadBytes = 64ull << 20;
 
 struct Frame {
   FrameType type = FrameType::kJob;
   std::string payload;
 };
-
-/// 64-bit FNV-1a over `n` bytes (the frame checksum).
-[[nodiscard]] std::uint64_t checksum(const void* data, std::size_t n);
 
 [[nodiscard]] std::string encode_frame(const Frame& frame);
 

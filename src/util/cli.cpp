@@ -1,8 +1,6 @@
 #include "util/cli.hpp"
 
-#include <charconv>
-#include <system_error>
-
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace updec {
@@ -36,17 +34,12 @@ std::string CliArgs::get(const std::string& key,
 
 namespace {
 
-/// Parse the full value string as a T with std::from_chars; any leftover
-/// characters (or no digits at all) mean the option is malformed. A leading
-/// '+' is tolerated for symmetry with '-'.
+/// Parse the full value string as a T (env::parse_strict); any leftover
+/// characters (or no digits at all) mean the option is malformed.
 template <typename T>
 T parse_or_throw(const std::string& key, const std::string& value) {
-  const char* first = value.c_str();
-  const char* last = first + value.size();
-  if (first != last && *first == '+') ++first;
   T parsed{};
-  const auto [ptr, ec] = std::from_chars(first, last, parsed);
-  UPDEC_REQUIRE(ec == std::errc() && ptr == last,
+  UPDEC_REQUIRE(env::parse_strict(value, parsed),
                 "malformed numeric value for --" + key + ": '" + value + "'");
   return parsed;
 }

@@ -1,28 +1,12 @@
 #include "util/env.hpp"
 
-#include <charconv>
 #include <cstdlib>
-#include <system_error>
 
 #include "util/log.hpp"
 
 namespace updec::env {
 
 namespace {
-
-/// Whole-string std::from_chars parse; false on leftovers or no digits.
-template <typename T>
-bool parse_strict(const char* value, T& out) {
-  const char* first = value;
-  const char* last = value;
-  while (*last != '\0') ++last;
-  if (first != last && *first == '+') ++first;
-  T parsed{};
-  const auto [ptr, ec] = std::from_chars(first, last, parsed);
-  if (ec != std::errc() || ptr != last) return false;
-  out = parsed;
-  return true;
-}
 
 template <typename T>
 T get_or_warn(const char* name, T fallback) {

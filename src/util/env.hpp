@@ -10,10 +10,28 @@
 /// back to the caller's default. A leading '+' is tolerated for symmetry
 /// with '-'.
 
+#include <charconv>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace updec::env {
+
+/// Whole-string std::from_chars parse of `value` into `out` (a leading '+'
+/// tolerated); false, leaving `out` untouched, on leftovers, no digits or
+/// an out-of-range value. Unsigned types reject a '-' sign.
+template <typename T>
+[[nodiscard]] bool parse_strict(std::string_view value, T& out) {
+  const char* first = value.data();
+  const char* last = first + value.size();
+  if (first != last && *first == '+') ++first;
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(first, last, parsed);
+  if (ec != std::errc() || ptr != last) return false;
+  out = parsed;
+  return true;
+}
 
 /// Value of `name`, or `fallback` when unset/empty/malformed (malformed
 /// values are logged at warn level).

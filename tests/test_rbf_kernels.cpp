@@ -4,11 +4,23 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "testing_common.hpp"
 #include "rbf/kernels.hpp"
 #include "rbf/operators.hpp"
 #include "util/rng.hpp"
+
+namespace updec::rbf {
+
+// Print kernel parameters by name so the parameterised test names (and the
+// ctest names derived from them) are the same in every build, instead of
+// carrying the shared_ptr's address.
+void PrintTo(const std::shared_ptr<Kernel>& kernel, std::ostream* os) {
+  *os << kernel->name();
+}
+
+}  // namespace updec::rbf
 
 namespace {
 

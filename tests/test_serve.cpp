@@ -8,12 +8,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "la/blas.hpp"
@@ -27,6 +30,7 @@
 #include "serve/cache.hpp"
 #include "serve/pool.hpp"
 #include "serve/scheduler.hpp"
+#include "serve/wire.hpp"
 #include "testing_common.hpp"
 #include "util/faultinject.hpp"
 #include "util/metrics.hpp"
@@ -576,6 +580,182 @@ TEST(Scheduler, StatusTracksTheJobLifecycle) {
   (void)scheduler.wait(id);
   EXPECT_EQ(scheduler.status(id), serve::JobStatus::kSucceeded);
   EXPECT_THROW((void)scheduler.status(9999), Error);
+}
+
+TEST(Scheduler, RefineCyclesOutsideLaplaceDalFailsWithoutBuilding) {
+  // Only a Laplace DAL job is served on a refined cloud. Any other job with
+  // refine_cycles > 0 must fail up front -- no attempt, no retry, nothing
+  // built -- rather than run on the uniform cloud under another family.
+  OperatorCache cache(std::size_t{64} << 20);
+  serve::RetryPolicy retry;
+  retry.max_retries = 2;
+  const std::pair<serve::ProblemKind, serve::Strategy> kinds[] = {
+      {serve::ProblemKind::kLaplace, serve::Strategy::kDp},
+      {serve::ProblemKind::kLaplace, serve::Strategy::kFd},
+      {serve::ProblemKind::kChannel, serve::Strategy::kDal}};
+  for (const auto& [problem, strategy] : kinds) {
+    serve::Scenario sc = quick_laplace("misrefined", 3);
+    sc.problem = problem;
+    sc.strategy = strategy;
+    sc.refine_cycles = 1;
+    const serve::JobReport report =
+        serve::run_scenario(sc, cache, 0.0, {}, retry);
+    EXPECT_EQ(report.status, serve::JobStatus::kFailed)
+        << serve::to_string(problem) << " " << serve::to_string(strategy);
+    EXPECT_NE(report.error.find("refine_cycles"), std::string::npos)
+        << report.error;
+    EXPECT_EQ(report.attempts, 0u);
+    EXPECT_EQ(report.retries, 0u);
+  }
+  EXPECT_EQ(cache.stats().misses, 0u) << "a misconfigured job built something";
+}
+
+TEST(Scheduler, PolyDegreeReachesEveryLaplaceBundle) {
+  // poly_degree keys every Laplace family, so each bundle must also be
+  // built with it: the plain, the refined and the ROM bundle alike.
+  const auto final_cost = [](serve::Scenario sc, int degree) {
+    OperatorCache cache(std::size_t{64} << 20);
+    sc.poly_degree = degree;
+    const serve::JobReport report = serve::run_scenario(sc, cache);
+    EXPECT_TRUE(report.ok()) << sc.id << " degree " << degree << ": "
+                             << report.error;
+    return report.final_cost;
+  };
+  const serve::Scenario plain = quick_laplace("plain", 3);
+  serve::Scenario refined = plain;
+  refined.id = "refined";
+  refined.refine_cycles = 1;
+  EXPECT_NE(final_cost(plain, 1), final_cost(plain, 2));
+  EXPECT_NE(final_cost(refined, 1), final_cost(refined, 2));
+  ::setenv("UPDEC_ROM", "1", 1);
+  const double rom_1 = final_cost(plain, 1);
+  const double rom_2 = final_cost(plain, 2);
+  ::unsetenv("UPDEC_ROM");
+  EXPECT_NE(rom_1, rom_2);
+}
+
+// ---- scenario manifests ----------------------------------------------------
+
+/// The fixed-column manifest parser the field table replaced, kept as the
+/// oracle for the committed manifests: columns
+/// id,problem,strategy,grid,iters,lr,deadline_ms,seed,jitter in that order.
+std::vector<serve::Scenario> legacy_parse(std::istream& is) {
+  std::vector<serve::Scenario> out;
+  std::string line;
+  bool header_seen = false;
+  while (std::getline(is, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    if (!header_seen) {
+      header_seen = true;
+      continue;
+    }
+    std::vector<std::string> cells;
+    std::stringstream ss(line);
+    for (std::string cell; std::getline(ss, cell, ',');) cells.push_back(cell);
+    cells.resize(9);
+    serve::Scenario sc;
+    sc.id = cells[0];
+    if (!cells[1].empty()) sc.problem = serve::parse_problem_kind(cells[1]);
+    if (!cells[2].empty()) sc.strategy = serve::parse_strategy(cells[2]);
+    if (!cells[3].empty()) sc.grid_n = sc.target_nodes = std::stoul(cells[3]);
+    if (!cells[4].empty()) sc.iterations = std::stoul(cells[4]);
+    if (!cells[5].empty()) sc.learning_rate = std::stod(cells[5]);
+    if (!cells[6].empty()) sc.deadline_ms = std::stod(cells[6]);
+    if (!cells[7].empty()) sc.seed = std::stoull(cells[7]);
+    if (!cells[8].empty()) sc.control_jitter = std::stod(cells[8]);
+    out.push_back(sc);
+  }
+  return out;
+}
+
+/// A scenario's wire bytes: equal bytes mean bitwise-equal fields.
+std::string scenario_bytes(const serve::Scenario& sc) {
+  serve::wire::JobFrame frame;
+  frame.scenario = sc;
+  return serve::wire::encode_job(frame);
+}
+
+TEST(Manifest, CommittedManifestsParseAsBefore) {
+  for (const char* name : {"serve_manifest.csv", "serve_chaos_manifest.csv",
+                           "serve_shard_manifest.csv"}) {
+    const std::string path = std::string(UPDEC_EXAMPLES_DIR) + "/" + name;
+    std::ifstream is(path);
+    const std::vector<serve::Scenario> want = legacy_parse(is);
+    const std::vector<serve::Scenario> got = serve::load_manifest(path);
+    ASSERT_EQ(got.size(), want.size()) << name;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      // The old parser also copied `grid` into the channel cloud size, a
+      // field no Laplace row reads; `nodes` is its own column now.
+      ASSERT_EQ(want[i].problem, serve::ProblemKind::kLaplace);
+      serve::Scenario expected = want[i];
+      expected.target_nodes = serve::Scenario{}.target_nodes;
+      EXPECT_EQ(scenario_bytes(got[i]), scenario_bytes(expected))
+          << name << " row " << i << " (" << got[i].id << ")";
+    }
+  }
+}
+
+TEST(Manifest, ColumnsMatchByHeaderNameInAnyOrder) {
+  std::istringstream in(
+      "# any column order, any subset with an id\n"
+      "seed,grid,id,strategy,problem,nodes,refine_cycles,lr\n"
+      "7,14,lap,dp,laplace,,,+0.5\n"
+      "\n"
+      ",,chan,dal,channel,350\n");
+  const std::vector<serve::Scenario> got = serve::parse_manifest(in, "inline");
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].id, "lap");
+  EXPECT_EQ(got[0].seed, 7u);
+  EXPECT_EQ(got[0].grid_n, 14u);
+  EXPECT_EQ(got[0].strategy, serve::Strategy::kDp);
+  EXPECT_EQ(got[0].learning_rate, 0.5);
+  EXPECT_EQ(got[0].target_nodes, serve::Scenario{}.target_nodes)
+      << "grid must not set the channel cloud size";
+  EXPECT_EQ(got[1].problem, serve::ProblemKind::kChannel);
+  EXPECT_EQ(got[1].target_nodes, 350u) << "channel rows size from `nodes`";
+  EXPECT_EQ(got[1].grid_n, serve::Scenario{}.grid_n);
+
+  // A file saved with CRLF line endings parses the same.
+  std::istringstream crlf("# crlf\r\nid,grid,jitter\r\nlap,14,0.25\r\n");
+  const std::vector<serve::Scenario> rows = serve::parse_manifest(crlf, "crlf");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].id, "lap");
+  EXPECT_EQ(rows[0].grid_n, 14u);
+  EXPECT_EQ(rows[0].control_jitter, 0.25);
+}
+
+TEST(Manifest, RejectsBadInputNamingTheLineAndColumn) {
+  const auto error_of = [](const std::string& text) {
+    std::istringstream in(text);
+    try {
+      (void)serve::parse_manifest(in, "m.csv");
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const std::pair<const char*, std::vector<const char*>> cases[] = {
+      {"id,grid\na,12abc\n", {"m.csv line 2", "column 'grid'", "12abc"}},
+      {"id,grid\na,-1\n", {"line 2", "column 'grid'", "'-1'"}},
+      {"id,seed\n# c\na,-3\n", {"line 3", "column 'seed'"}},
+      {"id,iters\na,1.5\n", {"column 'iters'"}},
+      {"id,lr\na,nan\n", {"line 2", "column 'lr'", "nan"}},
+      {"id,jitter\na,inf\n", {"column 'jitter'"}},
+      {"id,deadline_ms\na,1e999\n", {"column 'deadline_ms'"}},
+      {"id,problem\na,poisson\n", {"column 'problem'", "poisson"}},
+      {"id,gird\na,12\n", {"line 1", "unknown column 'gird'"}},
+      {"id,grid,grid\na,1,2\n", {"line 1", "duplicated column 'grid'"}},
+      {"grid\n12\n", {"line 1", "no 'id' column"}},
+      {"id,grid\na,12,3\n", {"line 2", "3 cells under 2"}},
+      {"id,grid\n,12\n", {"line 2", "missing scenario id"}},
+      {"id,grid\n", {"no scenarios"}},
+  };
+  for (const auto& [text, fragments] : cases) {
+    const std::string error = error_of(text);
+    for (const char* fragment : fragments)
+      EXPECT_NE(error.find(fragment), std::string::npos)
+          << "input:\n" << text << "error: " << error;
+  }
 }
 
 // ---- retry / degradation ladder ------------------------------------------

@@ -6,17 +6,24 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "refine/refiner.hpp"
 #include "serve/cache.hpp"
+#include "serve/codec.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/shard.hpp"
 #include "serve/wire.hpp"
@@ -222,6 +229,16 @@ TEST(Wire, TruncatedPayloadCodecsThrow) {
   EXPECT_THROW((void)serve::wire::decode_result(payload + "zz"), Error);
   EXPECT_THROW((void)serve::wire::decode_job("abc"), Error);
   EXPECT_THROW((void)serve::wire::decode_stats(std::string(7, '\0')), Error);
+
+  // A sequence length the bytes left cannot hold is rejected before the
+  // resize, on any payload.
+  serve::Writer w;
+  w(std::vector<double>{1.0, 2.0, 3.0});
+  std::string sequence = w.take();
+  sequence[7] = 0x40;  // ~2^62 elements
+  std::vector<double> back;
+  serve::Reader huge(sequence);
+  EXPECT_THROW(huge(back), Error);
 }
 
 TEST(Wire, FrameReaderReassemblesSplitWrites) {
@@ -246,6 +263,93 @@ TEST(Wire, FrameReaderReassemblesSplitWrites) {
   EXPECT_EQ(serve::wire::decode_cancel(got->payload).job_id, 77u);
   ::close(sv[0]);
   ::close(sv[1]);
+}
+
+/// Lower-case hex of a byte string.
+std::string hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+TEST(Wire, PayloadBytesMatchTheRecordedEncoder) {
+  // Frames pinned byte-for-byte: the field tables must walk the records in
+  // exactly the order (and with exactly the widths) of the hand-written
+  // codec they replaced, so parents and workers built from either agree.
+  serve::wire::JobFrame job;
+  job.job_id = 42;
+  job.deadline_ms = 1234.5;
+  job.retry.max_retries = 3;
+  job.retry.backoff_ms = 12.5;
+  job.retry.allow_degraded = false;
+  job.retry.soft_deadline_fraction = 0.75;
+  job.scenario.id = "alpha/1";
+  job.scenario.problem = serve::ProblemKind::kChannel;
+  job.scenario.strategy = serve::Strategy::kFd;
+  job.scenario.grid_n = 11;
+  job.scenario.target_nodes = 777;
+  job.scenario.reynolds = 3.25;
+  job.scenario.poly_degree = -2;
+  job.scenario.iterations = 9;
+  job.scenario.learning_rate = 0.03125;
+  job.scenario.fd_step = 1e-7;
+  job.scenario.seed = 0xDEADBEEFull;
+  job.scenario.control_jitter = 0.05;
+  job.scenario.deadline_ms = 99.0;
+  job.scenario.refine_cycles = 3;
+  job.scenario.refine_fraction = 0.1875;
+  EXPECT_EQ(hex(serve::wire::encode_job(job)),
+      "2a0000000000000000000000004a934003000000000000000000000000002940"
+      "00000000000000400000000000409f409a9999999999b93f00000000000000d0"
+      "3f000000000000e83f0700000000000000616c7068612f3101020b0000000000"
+      "000009030000000000000000000000000a40feffffffffffffff090000000000"
+      "0000000000000000a03f48afbc9af2d77a3eefbeadde000000009a9999999999"
+      "a93f0000000000c058400300000000000000000000000000c83f");
+  EXPECT_EQ(hex(serve::wire::encode_job({})),
+      "0000000000000000000000000000000000000000000000000000000000004940"
+      "00000000000000400000000000409f409a9999999999b93f01000000000000d0"
+      "3f0000000000000000000000000000000000011000000000000000f401000000"
+      "000000000000000000f03f010000000000000032000000000000007b14ae47e1"
+      "7a843f8dedb5a0f7c6b03e000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000");
+
+  serve::wire::ResultFrame result;
+  result.job_id = 7;
+  result.report.id = "job-7";
+  result.report.status = JobStatus::kDeadlineExpired;
+  result.report.seconds = 0.125;
+  result.report.final_cost = 3.14159265358979;
+  result.report.iterations = 17;
+  result.report.cost_history = {1.0, 0.5, 0.25, -0.0};
+  result.report.error = "deadline";
+  result.report.attempts = 2;
+  result.report.retries = 1;
+  result.report.degraded = true;
+  result.report.achieved_tolerance = 1e-9;
+  EXPECT_EQ(hex(serve::wire::encode_result(result)),
+      "070000000000000005000000000000006a6f622d3704000000000000c03f112d"
+      "4454fb21094011000000000000000400000000000000000000000000f03f0000"
+      "00000000e03f000000000000d03f000000000000008008000000000000006465"
+      "61646c696e65020000000000000001000000000000000195d626e80b2e113e");
+  EXPECT_EQ(hex(serve::wire::encode_result({})),
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "000000000000000000000000000000000000");
+}
+
+TEST(Wire, OutOfRangeEnumBytesAreRejected) {
+  serve::wire::ResultFrame result;
+  result.report.status = JobStatus::kRetrying;  // the largest valid byte
+  std::string payload = serve::wire::encode_result(result);
+  EXPECT_EQ(serve::wire::decode_result(payload).report.status,
+            JobStatus::kRetrying);
+  payload[8 + 8] = 7;  // job_id, empty id's length, then the status byte
+  EXPECT_THROW((void)serve::wire::decode_result(payload), Error);
 }
 
 // ---- routing -------------------------------------------------------------
@@ -322,6 +426,42 @@ TEST(Routing, ShardOfIsStableAndInRange) {
     seen[serve::scenario_fingerprint(sc)] = shard;
   }
   EXPECT_EQ(seen.size(), 8u);  // distinct grids -> distinct fingerprints
+}
+
+TEST(Routing, EveryShardHomesAFamily) {
+  // Sixteen distinct Laplace families must give every shard of a 2- and a
+  // 4-shard pool at least one home family. The fingerprint's low bits
+  // decide `% n`, so they must be as well mixed as the high ones.
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    ShardOptions options;
+    options.shards = shards;
+    ShardPool pool(options);
+    std::vector<std::size_t> homed(shards, 0);
+    for (std::size_t g = 6; g <= 21; ++g)
+      ++homed[pool.shard_of(small_scenario("family", g, 1))];
+    for (std::size_t i = 0; i < shards; ++i)
+      EXPECT_GT(homed[i], 0u) << "shard " << i << " of " << shards
+                              << " homes no family";
+  }
+}
+
+TEST(Routing, RefineFractionKeysByItsResolvedValue) {
+  // The refined bundle builds every fraction outside (0, 1) with the
+  // default; routing must agree, or one cloud would live on two shards.
+  Scenario refined = small_scenario("a", 12, 1);
+  refined.refine_cycles = 2;
+  const std::uint64_t fp = serve::scenario_fingerprint(refined);
+  const double fallback = refine::RefineConfig{}.refine_fraction;
+  for (const double alike : {-0.5, 1.0, 1.5, fallback}) {
+    Scenario other = refined;
+    other.refine_fraction = alike;
+    EXPECT_EQ(serve::scenario_fingerprint(other), fp) << alike;
+  }
+  // A uniform job reads no fraction at all.
+  Scenario uniform = small_scenario("a", 12, 1);
+  const std::uint64_t uniform_fp = serve::scenario_fingerprint(uniform);
+  uniform.refine_fraction = 0.5;
+  EXPECT_EQ(serve::scenario_fingerprint(uniform), uniform_fp);
 }
 
 // ---- environment knobs ---------------------------------------------------
@@ -410,6 +550,48 @@ TEST(ShardPoolE2E, StealingOffKeepsAffinity) {
     if (info.jobs_done > 0) ++busy_shards;
   }
   EXPECT_EQ(busy_shards, 1u) << "one fingerprint must stay on one shard";
+}
+
+TEST(ShardPoolE2E, ForkedWorkersNeverReplayBufferedStdout) {
+  // stdout redirected to a file is fully buffered; a worker forked with
+  // output still in that buffer writes it again on its first log line
+  // (cerr is tied to cout). The marker has no newline so that even a line-
+  // buffered stdout keeps it pending across the fork.
+  std::string path = ::testing::TempDir() + "shard_stdout_XXXXXX";
+  const int file = ::mkstemp(path.data());
+  ASSERT_GE(file, 0);
+  std::cout.flush();
+  std::fflush(stdout);
+  const int saved = ::dup(STDOUT_FILENO);
+  ASSERT_GE(::dup2(file, STDOUT_FILENO), 0);
+  std::cout << "stdout-marker";
+  // Each worker inherits one armed latency fault; firing it logs a warning.
+  fault::arm("serve.solve_latency", 1);
+  {
+    ShardOptions options;
+    options.shards = 2;
+    ShardPool pool(options);
+    pool.set_on_result([](ShardPool::JobId, JobReport&&) {});
+    for (int i = 0; i < 6; ++i)
+      pool.submit(small_scenario("stdout-" + std::to_string(i), 6 + i % 3, i));
+    pool.drain();
+  }
+  fault::disarm_all();
+  std::cout.flush();
+  std::fflush(stdout);
+  ::dup2(saved, STDOUT_FILENO);
+  ::close(saved);
+  ::close(file);
+
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::size_t markers = 0;
+  for (std::size_t at = text.find("stdout-marker"); at != std::string::npos;
+       at = text.find("stdout-marker", at + 1))
+    ++markers;
+  EXPECT_EQ(markers, 1u) << "forked workers replayed buffered stdout";
+  std::remove(path.c_str());
 }
 
 TEST(SchedulerShardMode, AsyncSubmitStreamsCompletions) {
