@@ -1,12 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
 // three strategies: RBF assembly, dense factorisation/solves, sparse SpMV,
-// tape record + reverse sweep, RBF-FD stencil generation and the Dual2
-// PINN evaluation.
+// tape record + reverse sweep, RBF-FD stencil generation, the per-point
+// Dual2 PINN evaluation and one batched PINN training epoch.
 
 #include <benchmark/benchmark.h>
 
 #include "autodiff/dual2.hpp"
 #include "autodiff/ops.hpp"
+#include "control/pinn_laplace.hpp"
 #include "la/blas.hpp"
 #include "la/lu.hpp"
 #include "nn/mlp.hpp"
@@ -154,6 +155,25 @@ void BM_PinnDual2Residual(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PinnDual2Residual);
+
+// One full Laplace PINN epoch on the paper's 3x30 net at the default batch
+// sizes (64 interior, 32 boundary points, 64 flux quadrature points): the
+// batched jet ops, the scalar loss glue, one reverse sweep and the Adam
+// step. Compare with BM_PinnDual2Residual, which is one interior point of
+// the per-point Dual2<Var> path.
+void BM_PinnBatchedEpoch(benchmark::State& state) {
+  control::PinnConfig config;
+  config.u_hidden = {30, 30, 30};
+  control::LaplacePinn pinn(config);
+  std::size_t epoch = 0;
+  for (auto _ : state) {
+    const auto losses = pinn.epoch_step(epoch++ % config.epochs);
+    benchmark::DoNotOptimize(losses.total);
+  }
+  state.counters["tape_bytes"] =
+      static_cast<double>(pinn.scratch_bytes());
+}
+BENCHMARK(BM_PinnBatchedEpoch);
 
 }  // namespace
 

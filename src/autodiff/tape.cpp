@@ -38,11 +38,14 @@ Var Tape::node2(double value, std::int64_t pa, double wa, std::int64_t pb,
 }
 
 std::int64_t Tape::custom_op(const std::vector<double>& out_values,
-                             CustomBackward backward) {
+                             CustomBackward backward,
+                             std::size_t saved_bytes) {
   const auto start = static_cast<std::int64_t>(val_.size());
   for (const double v : out_values) (void)variable(v);
   custom_.push_back(
       {start, static_cast<std::int64_t>(out_values.size()), std::move(backward)});
+  custom_saved_.push_back(saved_bytes);
+  saved_bytes_ += saved_bytes;
   return start;
 }
 
@@ -82,7 +85,8 @@ void Tape::backward(const Var& root) {
 
 std::size_t Tape::memory_bytes() const {
   return val_.size() * (3 * sizeof(double) + 2 * sizeof(std::int64_t)) +
-         adj_.size() * sizeof(double) + custom_.size() * sizeof(CustomOp);
+         adj_.size() * sizeof(double) + custom_.size() * sizeof(CustomOp) +
+         saved_bytes_;
 }
 
 void Tape::clear() {
@@ -93,6 +97,8 @@ void Tape::clear() {
   wa_.clear();
   wb_.clear();
   custom_.clear();
+  custom_saved_.clear();
+  saved_bytes_ = 0;
 }
 
 void Tape::rewind(std::size_t mark) {
@@ -104,8 +110,11 @@ void Tape::rewind(std::size_t mark) {
   wb_.resize(mark);
   adj_.clear();
   while (!custom_.empty() &&
-         static_cast<std::size_t>(custom_.back().out_start) >= mark)
+         static_cast<std::size_t>(custom_.back().out_start) >= mark) {
     custom_.pop_back();
+    saved_bytes_ -= custom_saved_.back();
+    custom_saved_.pop_back();
+  }
 }
 
 void Tape::reserve(std::size_t nodes) {

@@ -79,8 +79,10 @@ class Tape {
   /// the reverse sweep once all downstream adjoints have been accumulated,
   /// and must scatter the outputs' adjoints onto the operation's inputs via
   /// adjoint_ref(). Returns the index of the first output node.
+  /// `saved_bytes` is what the backward callback holds on to (forward
+  /// intermediates); memory_bytes() counts it.
   std::int64_t custom_op(const std::vector<double>& out_values,
-                         CustomBackward backward);
+                         CustomBackward backward, std::size_t saved_bytes = 0);
 
   /// Seed `root` with adjoint 1 and run the reverse sweep. May be called
   /// once per forward pass; call clear()/rewind() before reusing the tape.
@@ -132,6 +134,8 @@ class Tape {
   std::vector<std::int64_t> pa_, pb_;  // parent indices, -1 = none
   std::vector<double> wa_, wb_;        // local partials
   std::vector<CustomOp> custom_;
+  std::vector<std::size_t> custom_saved_;  // saved_bytes per custom op
+  std::size_t saved_bytes_ = 0;            // their sum
 };
 
 inline double Var::value() const {

@@ -4,6 +4,7 @@
 #include <array>
 #include <charconv>
 #include <cmath>
+#include <functional>
 #include <sstream>
 #include <string_view>
 
@@ -11,6 +12,8 @@
 #include <omp.h>
 #endif
 
+#include "autodiff/dual.hpp"
+#include "autodiff/dual2.hpp"
 #include "autodiff/ops.hpp"
 #include "autodiff/tape.hpp"
 #include "check/generators.hpp"
@@ -22,6 +25,8 @@
 #include "la/lu.hpp"
 #include "la/qr.hpp"
 #include "la/robust_solve.hpp"
+#include "nn/jet.hpp"
+#include "nn/mlp.hpp"
 #include "pointcloud/generators.hpp"
 #include "rbf/collocation.hpp"
 #include "rbf/rbffd.hpp"
@@ -927,6 +932,226 @@ OracleResult scenario_schema(const OracleCase& c) {
   return judged(0.0, 0.0, os.str());
 }
 
+// ---- batched PINN jets vs per-point Dual2<Var> ----------------------------
+
+namespace {
+
+// Per-point reference evaluations: one Mlp::forward per point on
+// Dual2<Var> (full second order), Dual<Var> (one directional first
+// derivative) or Var (value) scalars -- the arithmetic nn::jet batches.
+
+std::vector<ad::Dual2<ad::Var>> eval_dual2(const nn::Mlp& net,
+                                           std::span<const ad::Var> theta,
+                                           ad::Tape& tape, double x,
+                                           double y) {
+  const ad::Var zero = tape.constant(0.0);
+  const ad::Var one = tape.constant(1.0);
+  const std::vector<ad::Dual2<ad::Var>> inputs = {
+      {tape.constant(x), one, zero, zero, zero, zero},
+      {tape.constant(y), zero, one, zero, zero, zero}};
+  return net.forward<ad::Dual2<ad::Var>, ad::Var>(
+      theta, std::span<const ad::Dual2<ad::Var>>(inputs),
+      [&](const ad::Var& w) {
+        return ad::Dual2<ad::Var>{w, zero, zero, zero, zero, zero};
+      });
+}
+
+std::vector<ad::Dual<ad::Var>> eval_dual1(const nn::Mlp& net,
+                                          std::span<const ad::Var> theta,
+                                          ad::Tape& tape, double x, double y,
+                                          double dx, double dy) {
+  const std::vector<ad::Dual<ad::Var>> inputs = {
+      {tape.constant(x), tape.constant(dx)},
+      {tape.constant(y), tape.constant(dy)}};
+  return net.forward<ad::Dual<ad::Var>, ad::Var>(
+      theta, std::span<const ad::Dual<ad::Var>>(inputs),
+      [&](const ad::Var& w) {
+        return ad::Dual<ad::Var>{w, tape.constant(0.0)};
+      });
+}
+
+std::vector<ad::Var> eval_value(const nn::Mlp& net,
+                                std::span<const ad::Var> theta, ad::Tape& tape,
+                                std::span<const double> point) {
+  std::vector<ad::Var> inputs;
+  for (const double v : point) inputs.push_back(tape.constant(v));
+  return net.forward<ad::Var, ad::Var>(theta, std::span<const ad::Var>(inputs),
+                                       [](const ad::Var& w) { return w; });
+}
+
+/// Output jets of one point from the per-point path, by channel.
+using PointJets = std::function<ad::Var(nn::Channel, std::size_t out)>;
+
+PointJets per_point_jets(const nn::Mlp& net, std::span<const ad::Var> theta,
+                         ad::Tape& tape, double x, double y,
+                         nn::Channels channels) {
+  using nn::Channel;
+  const bool dx = channels.has(Channel::kDx);
+  const bool dy = channels.has(Channel::kDy);
+  const bool second = channels.has(Channel::kDxx) ||
+                      channels.has(Channel::kDyy) || (dx && dy);
+  if (second) {
+    auto out = eval_dual2(net, theta, tape, x, y);
+    return [out](Channel c, std::size_t o) {
+      switch (c) {
+        case Channel::kValue: return out[o].v;
+        case Channel::kDx: return out[o].gx;
+        case Channel::kDy: return out[o].gy;
+        case Channel::kDxx: return out[o].hxx;
+        case Channel::kDyy: return out[o].hyy;
+      }
+      return out[o].v;
+    };
+  }
+  if (dx || dy) {
+    auto out = eval_dual1(net, theta, tape, x, y, dx ? 1.0 : 0.0,
+                          dy ? 1.0 : 0.0);
+    return [out](Channel c, std::size_t o) {
+      return c == Channel::kValue ? out[o].v : out[o].d;
+    };
+  }
+  const double point[] = {x, y};
+  auto out = eval_value(net, theta, tape, point);
+  return [out](Channel, std::size_t o) { return out[o]; };
+}
+
+}  // namespace
+
+OracleResult pinn_batched_vs_scalar(const OracleCase& c) {
+  using nn::Channel;
+  Rng rng(c.seed);
+  constexpr nn::Activation kActivations[] = {
+      nn::Activation::kTanh, nn::Activation::kSin, nn::Activation::kRelu,
+      nn::Activation::kIdentity};
+  constexpr Channel kAll[] = {Channel::kValue, Channel::kDx, Channel::kDy,
+                              Channel::kDxx, Channel::kDyy};
+  // Every distinct channel set (a second-order channel implies its first).
+  const nn::Channels kSets[] = {
+      {Channel::kValue},
+      {Channel::kDx},
+      {Channel::kDy},
+      {Channel::kDx, Channel::kDy},
+      {Channel::kDxx},
+      {Channel::kDyy},
+      {Channel::kDxx, Channel::kDy},
+      {Channel::kDx, Channel::kDyy},
+      {Channel::kDxx, Channel::kDyy}};
+
+  const std::size_t max_width = std::clamp<std::size_t>(c.size, 1, 30);
+  const auto random_net = [&](std::size_t in, std::size_t out,
+                              nn::Activation activation) {
+    std::vector<std::size_t> layers = {in};
+    const std::size_t depth = 1 + rng.uniform_index(3);
+    for (std::size_t k = 0; k < depth; ++k)
+      layers.push_back(1 + rng.uniform_index(max_width));
+    layers.push_back(out);
+    nn::Mlp net(layers, activation, rng.next_u64());
+    // Glorot weights plus nonzero biases, so every parameter matters.
+    std::vector<double> params = net.parameters();
+    for (double& p : params) p += rng.uniform(-0.3, 0.3);
+    net.set_parameters(params);
+    return net;
+  };
+  const nn::Activation activation = kActivations[rng.uniform_index(4)];
+  const nn::Mlp u_net =
+      random_net(2, rng.uniform_index(2) ? 3 : 1, activation);
+  const nn::Mlp c_net = random_net(1, 1, activation);
+  const std::size_t n = 1 + rng.uniform_index(8);
+  std::vector<double> points(2 * n), ts(n);
+  for (double& v : points) v = rng.uniform(-1.0, 1.0);
+  for (double& v : ts) v = rng.uniform(-1.0, 1.0);
+
+  double err = 0.0;
+  for (const nn::Channels& set : kSets) {
+    // Loss weights: a linear and a quadratic term per output jet.
+    std::vector<double> weights;
+    for (std::size_t k = 0; k < 2 * (5 * 3 * n + n); ++k)
+      weights.push_back(rng.uniform(-1.0, 1.0));
+    struct Taped {
+      double loss;
+      la::Vector grad_u, grad_c;
+    };
+    // Builds the same loss from either path's jets, in the same order.
+    const auto run = [&](bool batched) {
+      ad::Tape tape;
+      const ad::VarVec theta_u =
+          ad::make_variables(tape, la::Vector(u_net.parameters()));
+      const ad::VarVec theta_c =
+          ad::make_variables(tape, la::Vector(c_net.parameters()));
+      std::vector<PointJets> u_jets, c_jets;
+      if (batched) {
+        const nn::JetVars u = nn::jet(u_net, theta_u, points, set);
+        const nn::JetVars cj = nn::jet(c_net, theta_c, ts, {Channel::kValue});
+        for (std::size_t p = 0; p < n; ++p) {
+          u_jets.push_back([u, p](Channel ch, std::size_t o) {
+            return u(ch, p, o);
+          });
+          c_jets.push_back([cj, p](Channel ch, std::size_t o) {
+            return cj(ch, p, o);
+          });
+        }
+      } else {
+        for (std::size_t p = 0; p < n; ++p) {
+          u_jets.push_back(per_point_jets(u_net, theta_u, tape,
+                                          points[2 * p], points[2 * p + 1],
+                                          set));
+          const double t[] = {ts[p]};
+          const auto cv = eval_value(c_net, theta_c, tape, t);
+          c_jets.push_back([cv](Channel, std::size_t o) { return cv[o]; });
+        }
+      }
+      ad::Var loss = tape.constant(0.0);
+      std::size_t k = 0;
+      const auto add = [&](const ad::Var& y) {
+        loss = loss + weights[k] * y + weights[k + 1] * (y * y);
+        k += 2;
+      };
+      for (std::size_t p = 0; p < n; ++p) {
+        for (const Channel ch : kAll)
+          if (set.has(ch))
+            for (std::size_t o = 0; o < u_net.num_outputs(); ++o)
+              add(u_jets[p](ch, o));
+        add(c_jets[p](Channel::kValue, 0));
+      }
+      tape.backward(loss);
+      return Taped{loss.value(), ad::adjoints(theta_u),
+                   ad::adjoints(theta_c)};
+    };
+    const Taped batched = run(true);
+    const Taped scalar = run(false);
+    err = std::max({err, rel_diff(batched.loss, scalar.loss),
+                    max_rel_diff(batched.grad_u, scalar.grad_u),
+                    max_rel_diff(batched.grad_c, scalar.grad_c)});
+  }
+
+  // u_xx against a central difference of the value channel, on a smooth
+  // net (ReLU and identity have no useful second derivative).
+  const nn::Mlp smooth = random_net(2, 1, nn::Activation::kTanh);
+  const double x = rng.uniform(-1.0, 1.0), y = rng.uniform(-1.0, 1.0);
+  const double h = 1e-3;
+  const auto value_at = [&](double xv) {
+    const double p[] = {xv, y};
+    return nn::BatchedJet(smooth, smooth.parameters(), p, {Channel::kValue})
+        .output(Channel::kValue, 0);
+  };
+  const double at[] = {x, y};
+  const double uxx =
+      nn::BatchedJet(smooth, smooth.parameters(), at, {Channel::kDxx})
+          .output(Channel::kDxx, 0);
+  const double fd =
+      (value_at(x + h) - 2.0 * value_at(x) + value_at(x - h)) / (h * h);
+  const double fd_err = rel_diff(uxx, fd);
+  constexpr double kFdTolerance = 1e-5;
+
+  std::ostringstream os;
+  os << "batched jet op vs per-point Dual2<Var> path ("
+     << nn::to_string(activation) << ", u net " << u_net.summary() << ", "
+     << n << " points, 9 channel sets; worst rel diff " << err
+     << "; u_xx vs central FD rel diff " << fd_err << ")";
+  if (fd_err > kFdTolerance) return judged(fd_err, kFdTolerance, os.str());
+  return judged(err, 1e-10, os.str());
+}
+
 // ---- catalogue ------------------------------------------------------------
 
 const std::vector<Oracle>& all_oracles() {
@@ -966,6 +1191,9 @@ const std::vector<Oracle>& all_oracles() {
       {"scenario_schema",
        "scenario field table: wire/manifest round trips, family routing", 2,
        64, &scenario_schema},
+      {"pinn_batched_vs_scalar",
+       "batched Taylor-mode network op vs per-point Dual2<Var> PINN path", 1,
+       30, &pinn_batched_vs_scalar},
   };
   return oracles;
 }

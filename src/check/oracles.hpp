@@ -136,4 +136,14 @@ OracleResult sharded_vs_single(const OracleCase& c);
 /// route to the same shard. size = number of random scenarios.
 OracleResult scenario_schema(const OracleCase& c);
 
+/// The batched Taylor-mode network op (nn::jet) against the per-point
+/// Dual2<Var> / Dual<Var> / Var forward passes it replaced in PINN
+/// training. Random nets (2 -> 1 and 2 -> 3 outputs, 1-3 hidden layers,
+/// every Activation) and random points; for every channel set, a random
+/// loss over all output jets plus a 1-D control network's values must give
+/// the same value and the same theta and c_theta gradients to 1e-10
+/// relative. One u_xx channel is also checked against a central finite
+/// difference of the value channel. size = widest hidden layer.
+OracleResult pinn_batched_vs_scalar(const OracleCase& c);
+
 }  // namespace updec::check

@@ -3,19 +3,9 @@
 #include <cmath>
 #include <numbers>
 
-namespace updec::control {
+#include "util/trace.hpp"
 
-namespace {
-std::vector<std::size_t> arch(std::size_t in,
-                              const std::vector<std::size_t>& hidden,
-                              std::size_t out) {
-  std::vector<std::size_t> layers;
-  layers.push_back(in);
-  layers.insert(layers.end(), hidden.begin(), hidden.end());
-  layers.push_back(out);
-  return layers;
-}
-}  // namespace
+namespace updec::control {
 
 ChannelPinn::ChannelPinn(const PinnConfig& config, const pc::ChannelSpec& spec,
                          double reynolds, double patch_velocity)
@@ -27,6 +17,7 @@ ChannelPinn::ChannelPinn(const PinnConfig& config, const pc::ChannelSpec& spec,
       c_net_(arch(1, config.c_hidden, 1), nn::Activation::kTanh,
              config.seed + 1),
       rng_(config.seed + 2) {
+  validate(config_);
   // Scattered interior collocation points.
   interior_points_.reserve(config_.n_interior);
   std::uint64_t index = config_.seed + 31;
@@ -82,8 +73,9 @@ void ChannelPinn::reset_solution_network(std::uint64_t seed) {
 }
 
 ChannelPinn::EpochLosses ChannelPinn::epoch_step(std::size_t epoch) {
+  UPDEC_TRACE_SCOPE("control/pinn_epoch");
   using ad::Var;
-  namespace pd = pinn_detail;
+  using nn::Channel;
   ad::Tape& tape = tape_;
   tape.clear();
   const ad::VarVec theta_u =
@@ -95,57 +87,79 @@ ChannelPinn::EpochLosses ChannelPinn::epoch_step(std::size_t epoch) {
   const double nu = 1.0 / reynolds_;
 
   // ---- NS residuals on an interior mini-batch ----
-  Var pde_loss = tape.constant(0.0);
   const auto batch = rng_.sample_without_replacement(
       interior_points_.size(),
       std::min(config_.batch_interior, interior_points_.size()));
-  for (const std::size_t k : batch) {
-    const auto out = pd::eval_dual2(u_net_, tu, tape, interior_points_[k].x,
-                                    interior_points_[k].y);
-    const auto& u = out[0];
-    const auto& v = out[1];
-    const auto& p = out[2];
-    const Var rx = u.v * u.gx + v.v * u.gy + p.gx - nu * (u.hxx + u.hyy);
-    const Var ry = u.v * v.gx + v.v * v.gy + p.gy - nu * (v.hxx + v.hyy);
-    const Var rc = u.gx + v.gy;
+  std::vector<double> interior;
+  for (const std::size_t k : batch)
+    interior.insert(interior.end(),
+                    {interior_points_[k].x, interior_points_[k].y});
+  const nn::JetVars out = nn::jet(
+      u_net_, tu, interior,
+      {Channel::kDx, Channel::kDy, Channel::kDxx, Channel::kDyy});
+  Var pde_loss = tape.constant(0.0);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    // Outputs 0, 1, 2 are u, v, p.
+    const auto f = [&](Channel c, std::size_t o) { return out(c, i, o); };
+    const Var rx = f(Channel::kValue, 0) * f(Channel::kDx, 0) +
+                   f(Channel::kValue, 1) * f(Channel::kDy, 0) +
+                   f(Channel::kDx, 2) -
+                   nu * (f(Channel::kDxx, 0) + f(Channel::kDyy, 0));
+    const Var ry = f(Channel::kValue, 0) * f(Channel::kDx, 1) +
+                   f(Channel::kValue, 1) * f(Channel::kDy, 1) +
+                   f(Channel::kDy, 2) -
+                   nu * (f(Channel::kDxx, 1) + f(Channel::kDyy, 1));
+    const Var rc = f(Channel::kDx, 0) + f(Channel::kDy, 1);
     pde_loss = pde_loss + rx * rx + ry * ry + rc * rc;
   }
   pde_loss = pde_loss * (1.0 / static_cast<double>(batch.size()));
 
   // ---- boundary penalties ----
-  Var bc_loss = tape.constant(0.0);
   const std::size_t nb = std::min(config_.batch_boundary, wall_x_.size());
   const auto bidx = rng_.sample_without_replacement(wall_x_.size(), nb);
+  // Value points: per sampled k an inlet, a bottom-wall and a top-wall
+  // point, then the outlet quadrature of the cost term. The outlet Neumann
+  // points carry x-derivatives.
+  std::vector<double> values, inlet, outlet;
   for (const std::size_t k : bidx) {
+    values.insert(values.end(), {0.0, inlet_y_[k], wall_x_[k], 0.0,
+                                 wall_x_[k], spec_.ly});
+    inlet.push_back(inlet_y_[k]);
+    outlet.insert(outlet.end(), {spec_.lx, outlet_y_[k]});
+  }
+  for (const double y : quad_y_) values.insert(values.end(), {spec_.lx, y});
+  const nn::JetVars uv = nn::jet(u_net_, tu, values, {Channel::kValue});
+  const nn::JetVars cv = nn::jet(c_net_, tc, inlet, {Channel::kValue});
+  const nn::JetVars ox = nn::jet(u_net_, tu, outlet, {Channel::kDx});
+  const auto value = [&](std::size_t point, std::size_t o) {
+    return uv(Channel::kValue, point, o);
+  };
+  Var bc_loss = tape.constant(0.0);
+  for (std::size_t i = 0; i < nb; ++i) {
     // Inlet: u = c_theta(y), v = 0.
-    const double yi = inlet_y_[k];
-    const auto in_val = pd::eval_value(u_net_, tu, tape, 0.0, yi);
-    const auto c_val = pd::eval_value1d(c_net_, tc, tape, yi);
-    const Var diu = in_val[0] - c_val[0];
-    bc_loss = bc_loss + diu * diu + in_val[1] * in_val[1];
+    const Var diu = value(3 * i, 0) - cv(Channel::kValue, i);
+    bc_loss = bc_loss + diu * diu + value(3 * i, 1) * value(3 * i, 1);
     // Walls: no-slip u, prescribed v (patch bumps).
-    const double xw = wall_x_[k];
-    const auto bot = pd::eval_value(u_net_, tu, tape, xw, 0.0);
-    const auto top = pd::eval_value(u_net_, tu, tape, xw, spec_.ly);
-    const Var dbv = bot[1] - patch_v(xw, true);
-    const Var dtv = top[1] - patch_v(xw, false);
-    bc_loss = bc_loss + bot[0] * bot[0] + dbv * dbv + top[0] * top[0] +
+    const double xw = wall_x_[bidx[i]];
+    const Var bot_u = value(3 * i + 1, 0);
+    const Var top_u = value(3 * i + 2, 0);
+    const Var dbv = value(3 * i + 1, 1) - patch_v(xw, true);
+    const Var dtv = value(3 * i + 2, 1) - patch_v(xw, false);
+    bc_loss = bc_loss + bot_u * bot_u + dbv * dbv + top_u * top_u +
               dtv * dtv;
     // Outlet: p = 0 (Dirichlet) and homogeneous Neumann du/dx = dv/dx = 0.
-    const double yo = outlet_y_[k];
-    const auto ox = pd::eval_dual1(u_net_, tu, tape, spec_.lx, yo, 1.0, 0.0);
-    bc_loss = bc_loss + ox[2].v * ox[2].v + ox[0].d * ox[0].d +
-              ox[1].d * ox[1].d;
+    const Var p = ox(Channel::kValue, i, 2);
+    const Var ux = ox(Channel::kDx, i, 0);
+    const Var vx = ox(Channel::kDx, i, 1);
+    bc_loss = bc_loss + p * p + ux * ux + vx * vx;
   }
   bc_loss = bc_loss * (1.0 / static_cast<double>(nb));
 
   // ---- cost objective J on the outlet quadrature ----
   Var cost = tape.constant(0.0);
   for (std::size_t i = 0; i < quad_y_.size(); ++i) {
-    const auto out =
-        pd::eval_value(u_net_, tu, tape, spec_.lx, quad_y_[i]);
-    const Var du = out[0] - target_outflow(quad_y_[i]);
-    const Var dv = out[1];
+    const Var du = value(3 * nb + i, 0) - target_outflow(quad_y_[i]);
+    const Var dv = value(3 * nb + i, 1);
     cost = cost + 0.5 * quad_w_[i] * (du * du + dv * dv);
   }
 

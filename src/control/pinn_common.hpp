@@ -1,15 +1,18 @@
 #pragma once
 /// \file pinn_common.hpp
-/// Shared machinery of the PINN strategy (section 2.3): configuration,
-/// training records, and the tape-side network evaluation helpers that give
-/// exact input derivatives (forward Dual/Dual2 over reverse-mode weights).
+/// Shared machinery of the PINN strategy (section 2.3): configuration, its
+/// validation, and training records. Training evaluates the networks with
+/// nn::jet (nn/jet.hpp): one batched Taylor-mode tape op per point set,
+/// which gives exact input derivatives and d loss / d theta in one sweep.
 
 #include <vector>
 
 #include "autodiff/dual.hpp"
 #include "autodiff/dual2.hpp"
 #include "autodiff/ops.hpp"
+#include "nn/jet.hpp"
 #include "nn/mlp.hpp"
+#include "util/error.hpp"
 
 namespace updec::control {
 
@@ -37,60 +40,30 @@ struct PinnHistory {
   std::vector<double> cost_term;  ///< J as seen by the network
 };
 
-namespace pinn_detail {
-
-/// Evaluate an MLP at (x, y) with tape weights and full second-order input
-/// derivatives: returns one Dual2<Var> per network output.
-inline std::vector<ad::Dual2<ad::Var>> eval_dual2(
-    const nn::Mlp& net, std::span<const ad::Var> theta, ad::Tape& tape,
-    double x, double y) {
-  const ad::Var zero = tape.constant(0.0);
-  const ad::Var one = tape.constant(1.0);
-  const std::vector<ad::Dual2<ad::Var>> inputs = {
-      {tape.constant(x), one, zero, zero, zero, zero},
-      {tape.constant(y), zero, one, zero, zero, zero}};
-  return net.forward<ad::Dual2<ad::Var>, ad::Var>(
-      theta, std::span<const ad::Dual2<ad::Var>>(inputs),
-      [&](const ad::Var& w) {
-        return ad::Dual2<ad::Var>{w, zero, zero, zero, zero, zero};
-      });
+/// Reject configurations that cannot train: fewer than two boundary points
+/// per segment (their coordinates t = i / (n - 1) would be 0/0), no interior
+/// points, or empty mini-batches (the batch means would divide by zero).
+/// Throws updec::Error.
+inline void validate(const PinnConfig& config) {
+  UPDEC_REQUIRE(config.n_boundary >= 2,
+                "PinnConfig.n_boundary must be at least 2");
+  UPDEC_REQUIRE(config.n_interior > 0, "PinnConfig.n_interior must be > 0");
+  UPDEC_REQUIRE(config.batch_interior > 0,
+                "PinnConfig.batch_interior must be > 0");
+  UPDEC_REQUIRE(config.batch_boundary > 0,
+                "PinnConfig.batch_boundary must be > 0");
 }
 
-/// First-order directional evaluation: derivative channel seeded along
-/// (dx, dy). Cheaper than Dual2 when only one gradient is needed.
-inline std::vector<ad::Dual<ad::Var>> eval_dual1(
-    const nn::Mlp& net, std::span<const ad::Var> theta, ad::Tape& tape,
-    double x, double y, double dx, double dy) {
-  const std::vector<ad::Dual<ad::Var>> inputs = {
-      {tape.constant(x), tape.constant(dx)},
-      {tape.constant(y), tape.constant(dy)}};
-  return net.forward<ad::Dual<ad::Var>, ad::Var>(
-      theta, std::span<const ad::Dual<ad::Var>>(inputs),
-      [&](const ad::Var& w) {
-        return ad::Dual<ad::Var>{w, tape.constant(0.0)};
-      });
+/// Layer sizes of a network with `in` inputs, the given hidden widths and
+/// `out` outputs.
+inline std::vector<std::size_t> arch(std::size_t in,
+                                     const std::vector<std::size_t>& hidden,
+                                     std::size_t out) {
+  std::vector<std::size_t> layers;
+  layers.push_back(in);
+  layers.insert(layers.end(), hidden.begin(), hidden.end());
+  layers.push_back(out);
+  return layers;
 }
-
-/// Plain value evaluation on the tape (Dirichlet penalties).
-inline std::vector<ad::Var> eval_value(const nn::Mlp& net,
-                                       std::span<const ad::Var> theta,
-                                       ad::Tape& tape, double x, double y) {
-  const std::vector<ad::Var> inputs = {tape.constant(x), tape.constant(y)};
-  return net.forward<ad::Var, ad::Var>(
-      theta, std::span<const ad::Var>(inputs),
-      [](const ad::Var& w) { return w; });
-}
-
-/// 1-D network evaluation (control networks c_theta).
-inline std::vector<ad::Var> eval_value1d(const nn::Mlp& net,
-                                         std::span<const ad::Var> theta,
-                                         ad::Tape& tape, double t) {
-  const std::vector<ad::Var> inputs = {tape.constant(t)};
-  return net.forward<ad::Var, ad::Var>(
-      theta, std::span<const ad::Var>(inputs),
-      [](const ad::Var& w) { return w; });
-}
-
-}  // namespace pinn_detail
 
 }  // namespace updec::control

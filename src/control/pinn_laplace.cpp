@@ -5,21 +5,12 @@
 
 #include "pde/laplace.hpp"
 #include "pointcloud/generators.hpp"
+#include "util/trace.hpp"
 
 namespace updec::control {
 
 namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
-
-std::vector<std::size_t> arch(std::size_t in,
-                              const std::vector<std::size_t>& hidden,
-                              std::size_t out) {
-  std::vector<std::size_t> layers;
-  layers.push_back(in);
-  layers.insert(layers.end(), hidden.begin(), hidden.end());
-  layers.push_back(out);
-  return layers;
-}
 }  // namespace
 
 LaplacePinn::LaplacePinn(const PinnConfig& config)
@@ -28,6 +19,7 @@ LaplacePinn::LaplacePinn(const PinnConfig& config)
       c_net_(arch(1, config.c_hidden, 1), nn::Activation::kTanh,
              config.seed + 1),
       rng_(config.seed + 2) {
+  validate(config_);
   // Scattered interior collocation points (training happens on a cloud,
   // testing on the regular grid, as in section 3.1).
   interior_points_.reserve(config_.n_interior);
@@ -68,8 +60,9 @@ void LaplacePinn::reset_solution_network(std::uint64_t seed) {
 }
 
 LaplacePinn::EpochLosses LaplacePinn::epoch_step(std::size_t epoch) {
+  UPDEC_TRACE_SCOPE("control/pinn_epoch");
   using ad::Var;
-  namespace pd = pinn_detail;
+  using nn::Channel;
   ad::Tape& tape = tape_;
   tape.clear();
   const ad::VarVec theta_u =
@@ -80,48 +73,60 @@ LaplacePinn::EpochLosses LaplacePinn::epoch_step(std::size_t epoch) {
   const std::span<const Var> tc(theta_c);
 
   // ---- PDE residual on an interior mini-batch ----
-  Var pde_loss = tape.constant(0.0);
   const auto batch = rng_.sample_without_replacement(
       interior_points_.size(),
       std::min(config_.batch_interior, interior_points_.size()));
-  for (const std::size_t k : batch) {
-    const auto u = pd::eval_dual2(u_net_, tu, tape, interior_points_[k].x,
-                                  interior_points_[k].y);
-    const Var r = u[0].hxx + u[0].hyy;
+  std::vector<double> interior;
+  for (const std::size_t k : batch)
+    interior.insert(interior.end(),
+                    {interior_points_[k].x, interior_points_[k].y});
+  const nn::JetVars u =
+      nn::jet(u_net_, tu, interior, {Channel::kDxx, Channel::kDyy});
+  Var pde_loss = tape.constant(0.0);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Var r = u(Channel::kDxx, i) + u(Channel::kDyy, i);
     pde_loss = pde_loss + r * r;
   }
   pde_loss = pde_loss * (1.0 / static_cast<double>(batch.size()));
 
   // ---- boundary penalties ----
-  Var bc_loss = tape.constant(0.0);
   const std::size_t nb = std::min(config_.batch_boundary, bottom_x_.size());
   const auto bidx = rng_.sample_without_replacement(bottom_x_.size(), nb);
+  // Per sampled k: a bottom and a top wall point (values), a left and a
+  // right side point (values and x-derivatives), a top point for c_theta.
+  std::vector<double> walls, sides, top;
   for (const std::size_t k : bidx) {
+    walls.insert(walls.end(), {bottom_x_[k], 0.0, top_x_[k], 1.0});
+    sides.insert(sides.end(), {0.0, side_y_[k], 1.0, side_y_[k]});
+    top.push_back(top_x_[k]);
+  }
+  const nn::JetVars uw = nn::jet(u_net_, tu, walls, {Channel::kValue});
+  const nn::JetVars us = nn::jet(u_net_, tu, sides, {Channel::kDx});
+  const nn::JetVars ct = nn::jet(c_net_, tc, top, {Channel::kValue});
+  Var bc_loss = tape.constant(0.0);
+  for (std::size_t i = 0; i < nb; ++i) {
     // Bottom Dirichlet: u(x, 0) = sin(2 pi x).
-    const auto ub = pd::eval_value(u_net_, tu, tape, bottom_x_[k], 0.0);
-    const Var db = ub[0] - std::sin(kTwoPi * bottom_x_[k]);
+    const Var db =
+        uw(Channel::kValue, 2 * i) - std::sin(kTwoPi * bottom_x_[bidx[i]]);
     bc_loss = bc_loss + db * db;
     // Top coupling: u(x, 1) = c_theta(x).
-    const auto ut = pd::eval_value(u_net_, tu, tape, top_x_[k], 1.0);
-    const auto ct = pd::eval_value1d(c_net_, tc, tape, top_x_[k]);
-    const Var dt = ut[0] - ct[0];
+    const Var dt = uw(Channel::kValue, 2 * i + 1) - ct(Channel::kValue, i);
     bc_loss = bc_loss + dt * dt;
     // Periodic matching of values and x-derivatives on the sides.
-    const double y = side_y_[k];
-    const auto l0 = pd::eval_dual1(u_net_, tu, tape, 0.0, y, 1.0, 0.0);
-    const auto l1 = pd::eval_dual1(u_net_, tu, tape, 1.0, y, 1.0, 0.0);
-    const Var dv = l0[0].v - l1[0].v;
-    const Var dg = l0[0].d - l1[0].d;
+    const Var dv = us(Channel::kValue, 2 * i) - us(Channel::kValue, 2 * i + 1);
+    const Var dg = us(Channel::kDx, 2 * i) - us(Channel::kDx, 2 * i + 1);
     bc_loss = bc_loss + dv * dv + dg * dg;
   }
   bc_loss = bc_loss * (1.0 / static_cast<double>(nb));
 
   // ---- cost objective J(c_theta) via the network flux ----
+  std::vector<double> flux;
+  for (const double x : quad_x_) flux.insert(flux.end(), {x, 1.0});
+  const nn::JetVars uf = nn::jet(u_net_, tu, flux, {Channel::kDy});
   Var cost = tape.constant(0.0);
   for (std::size_t i = 0; i < quad_x_.size(); ++i) {
-    const auto uy =
-        pd::eval_dual1(u_net_, tu, tape, quad_x_[i], 1.0, 0.0, 1.0);
-    const Var d = uy[0].d - pde::LaplaceSolver::target_flux(quad_x_[i]);
+    const Var d =
+        uf(Channel::kDy, i) - pde::LaplaceSolver::target_flux(quad_x_[i]);
     cost = cost + quad_w_[i] * (d * d);
   }
 

@@ -54,13 +54,15 @@ class LaplacePinn {
     return tape_.memory_bytes();
   }
 
- private:
-  /// One optimisation step; returns the loss components.
+  /// Loss components of one epoch.
   struct EpochLosses {
     double total, pde, boundary, cost;
   };
+  /// One optimisation step (train() runs config.epochs of them, without
+  /// recording history here); returns the loss components.
   EpochLosses epoch_step(std::size_t epoch);
 
+ private:
   PinnConfig config_;
   nn::Mlp u_net_;
   nn::Mlp c_net_;

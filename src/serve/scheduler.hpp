@@ -24,7 +24,11 @@
 ///
 /// Per-job isolation: each job draws its initial-control jitter from its own
 /// Rng(seed) (never a process-global stream), so a batch's results are
-/// independent of scheduling order and thread count.
+/// independent of scheduling order and thread count -- except under
+/// UPDEC_ROM=1 with more than one in-process worker: Laplace DAL jobs then
+/// share one snapshot bank and POD basis per operator family, whose
+/// contents depend on the order in which jobs complete, so their final
+/// costs can differ from run to run.
 
 #include <atomic>
 #include <condition_variable>

@@ -181,6 +181,24 @@ TEST(Tape, MemoryBytesGrowsWithNodes) {
   EXPECT_GT(tape.memory_bytes(), before + 1000 * 3 * sizeof(double));
 }
 
+TEST(Tape, MemoryBytesCountsCustomOpSavedState) {
+  Tape tape;
+  Var x = tape.variable(1.0);
+  const std::size_t mark = tape.mark();
+  const auto noop = [](Tape&, std::int64_t) {};
+  (void)tape.custom_op({2.0}, noop);
+  const auto without_saved = tape.memory_bytes();
+  tape.rewind(mark);
+  (void)tape.custom_op({2.0}, noop, 4096);
+  EXPECT_EQ(tape.memory_bytes(), without_saved + 4096);
+  tape.rewind(mark);  // dropping the op drops its saved bytes
+  (void)tape.custom_op({2.0}, noop);
+  EXPECT_EQ(tape.memory_bytes(), without_saved);
+  tape.clear();
+  EXPECT_EQ(tape.memory_bytes(), 0u);
+  (void)x;
+}
+
 TEST(Tape, MixedTapesThrow) {
   Tape t1, t2;
   Var a = t1.variable(1.0);

@@ -8,6 +8,7 @@
 
 #include "control/omega_search.hpp"
 #include "control/laplace_problem.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -150,6 +151,69 @@ TEST(ChannelPinnTest, TrainingReducesTotalLoss) {
   }
   EXPECT_TRUE(std::isfinite(pinn.network_cost()));
   EXPECT_TRUE(std::isfinite(pinn.pde_residual()));
+}
+
+// Configurations that cannot train are rejected up front: one boundary
+// point per segment gives 0/0 coordinates, and empty sets or batches give
+// 0/0 batch means, so training would otherwise run on NaN losses.
+TEST(PinnConfigValidation, RejectsSingleBoundaryPoint) {
+  PinnConfig config = tiny_laplace_config();
+  config.n_boundary = 1;
+  EXPECT_THROW(LaplacePinn{config}, updec::Error);
+  EXPECT_THROW(ChannelPinn(config, updec::pc::ChannelSpec{}, 20.0, 0.3),
+               updec::Error);
+}
+
+TEST(PinnConfigValidation, RejectsEmptyInteriorSet) {
+  PinnConfig config = tiny_laplace_config();
+  config.n_interior = 0;
+  EXPECT_THROW(LaplacePinn{config}, updec::Error);
+  EXPECT_THROW(ChannelPinn(config, updec::pc::ChannelSpec{}, 20.0, 0.3),
+               updec::Error);
+}
+
+TEST(PinnConfigValidation, RejectsEmptyInteriorBatch) {
+  PinnConfig config = tiny_laplace_config();
+  config.batch_interior = 0;
+  EXPECT_THROW(LaplacePinn{config}, updec::Error);
+  EXPECT_THROW(ChannelPinn(config, updec::pc::ChannelSpec{}, 20.0, 0.3),
+               updec::Error);
+}
+
+TEST(PinnConfigValidation, RejectsEmptyBoundaryBatch) {
+  PinnConfig config = tiny_laplace_config();
+  config.batch_boundary = 0;
+  EXPECT_THROW(LaplacePinn{config}, updec::Error);
+  EXPECT_THROW(ChannelPinn(config, updec::pc::ChannelSpec{}, 20.0, 0.3),
+               updec::Error);
+}
+
+TEST(PinnConfigValidation, AcceptsTheSmallestTrainableConfig) {
+  PinnConfig config = tiny_laplace_config();
+  config.n_boundary = 2;
+  config.n_interior = 1;
+  config.batch_interior = 1;
+  config.batch_boundary = 1;
+  config.epochs = 2;
+  LaplacePinn pinn(config);
+  pinn.train();
+  for (const double v : pinn.history().total_loss)
+    EXPECT_TRUE(std::isfinite(v));
+}
+
+// One epoch records a handful of network ops, not one scalar node per
+// multiply-add: the tape stays within a few parameter vectors' worth.
+TEST(LaplacePinnTest, EpochTapeIsBatched) {
+  PinnConfig config;
+  config.epochs = 1;
+  LaplacePinn pinn(config);
+  pinn.train();
+  const std::size_t params =
+      pinn.u_net().num_parameters() + pinn.c_net().num_parameters();
+  // A per-point Dual2<Var> tape of one default epoch holds about 6M nodes
+  // (over 1 GiB with adjoints).
+  EXPECT_LT(pinn.scratch_bytes(), 8u << 20);
+  EXPECT_GT(pinn.scratch_bytes(), params * sizeof(double));
 }
 
 }  // namespace
